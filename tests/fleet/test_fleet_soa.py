@@ -14,6 +14,7 @@ The batched-RNG fast paths (``repro.fleet.fastrng``) are also pinned
 here against the scalar draws they replace.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import builtin_campaign
 from repro.campaign.store import RunStore
+from repro.cells.faults import FaultMode
 from repro.chaos import FaultPlan, FaultSpec, InjectedCrash, activate
 from repro.fleet import (
     FLEET_ENGINE_ENV,
@@ -32,6 +34,7 @@ from repro.fleet import (
     FleetEngine,
     ObjectFleetEngine,
     SoaFleetEngine,
+    counter_index,
     fleet_mc,
     stress_config,
 )
@@ -46,8 +49,25 @@ from repro.montecarlo.results_cache import ResultsCache
 from repro.montecarlo.rng import block_rng, seed_entropy
 
 #: Wear-accelerated: marks, retries, stale-row re-encodes, and deaths
-#: all occur, so the slow path is exercised — not just the fast path.
+#: all occur, so the wear path is exercised — not just clean writes.
 STRESS = stress_config(n_devices=8, n_epochs=6)
+
+#: Both failure modes plus revival: stuck-set cells (pinned to the
+#: lowest state when sensed), and the reverse-current revival draw that
+#: force-highest makes for them.  ``stress_config`` alone pins every
+#: failure to stuck-reset and never revives.
+MIXED_FAULTS = stress_config(n_devices=6, n_epochs=5, p_stuck_reset=0.5, p_revive=0.5)
+
+#: Wear onset: a tight endurance spread keeps the first epochs provably
+#: fault-free (every cell's wear stays below the population's minimum
+#: endurance), then the same run crosses into retries, marks and deaths.
+WEAR_ONSET = stress_config(
+    n_devices=5,
+    n_epochs=8,
+    mean_endurance=36.0,
+    endurance_sigma=0.1,
+    endurance_jitter_sigma=0.0,
+)
 
 
 def assert_engines_identical(a, b, n_epochs):
@@ -111,16 +131,50 @@ class TestPopulationDifferential:
             config.n_epochs,
         )
 
+    def test_mixed_fault_modes_population(self):
+        entropy = seed_entropy(42)
+        soa = SoaFleetEngine(MIXED_FAULTS, entropy)
+        assert_engines_identical(
+            ObjectFleetEngine(MIXED_FAULTS, entropy), soa, MIXED_FAULTS.n_epochs
+        )
+        # The branches this input exists for were really taken: stuck-set
+        # cells remain (sense pinning), and some stuck-set cells were
+        # revived to stuck-reset by force-highest.
+        s = soa._s
+        assert (s.fault == FaultMode.STUCK_SET.value).any()
+        revived = (s.fault == FaultMode.STUCK_RESET.value) & (
+            s.pending_mode == FaultMode.STUCK_SET.value
+        )
+        assert revived.any()
+
+    def test_wear_onset_population(self):
+        entropy = seed_entropy(3)
+        obj = ObjectFleetEngine(WEAR_ONSET, entropy)
+        soa = SoaFleetEngine(WEAR_ONSET, entropy)
+        assert obj.state_digest() == soa.state_digest()
+        counts = soa.advance(WEAR_ONSET.n_epochs)
+        assert (counts == obj.advance(WEAR_ONSET.n_epochs)).all()
+        assert obj.state_digest() == soa.state_digest()
+        # Both regimes in one run: clean epochs first, then wear.
+        retries = counts[:, counter_index("write_retries")]
+        marks = counts[:, counter_index("wearout_marks")]
+        assert retries[:2].sum() == 0 and marks[:2].sum() == 0
+        assert retries.sum() > 0 and marks.sum() > 0
+
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=6, deadline=None)
     def test_any_seed_stress(self, seed):
-        config = stress_config(n_devices=5, n_epochs=4)
         entropy = seed_entropy(seed)
-        assert_engines_identical(
-            ObjectFleetEngine(config, entropy),
-            SoaFleetEngine(config, entropy),
-            config.n_epochs,
-        )
+        for config in (
+            stress_config(n_devices=5, n_epochs=4),
+            dataclasses.replace(MIXED_FAULTS, n_devices=5, n_epochs=4),
+            WEAR_ONSET,
+        ):
+            assert_engines_identical(
+                ObjectFleetEngine(config, entropy),
+                SoaFleetEngine(config, entropy),
+                config.n_epochs,
+            )
 
     @given(
         first=st.integers(min_value=0, max_value=50),

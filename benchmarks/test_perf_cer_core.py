@@ -8,12 +8,9 @@ asserting bit-identical (analytic) or count-identical (MC) results:
    (design, time) pair) vs the batched time-axis/candidate-axis kernels,
    on the Figure-3 state rows, the Figure-8 design set, and an
    optimizer-style 3LC candidate grid.
-2. **MC task fusion** — the pre-fusion per-block sort+searchsorted
-   reduction vs the fused executor, same draws, identical ``int64``
-   counts.  Fusion is roughly neutral on wall-clock here (the per-block
-   sort saving is offset by the larger working set on this
-   memory-bandwidth-bound box; see ``_FUSE_BLOCKS``) — the win of PR 6
-   is the analytic path, and this part documents that honestly.
+2. **MC counts** — the executor's counts against the frozen per-block
+   sort+searchsorted reduction, same draws, identical ``int64`` counts
+   (a correctness check; no speed figure).
 3. **End-to-end figure sweeps** — the pre-PR Fig-3/Fig-8 pipeline
    (Monte Carlo at the sweep defaults, plus the scalar analytic floor)
    vs the new ``engine="analytic"`` batched path.  This is where the
@@ -160,21 +157,18 @@ def _prefusion_counts(run: StateRun, L_grid: np.ndarray, schedule) -> np.ndarray
     return counts
 
 
-def _bench_mc_fusion() -> dict:
+def _check_mc_counts() -> dict:
     from repro.cells.drift import PAPER_ESCALATION
 
     L = np.log10(np.asarray(sorted(PAPER_TIME_GRID_S)))
     run = StateRun(TABLE1["S2"], 5.5, 2_000_000, 11, ())
 
-    ref, t_old = _timed(lambda: _prefusion_counts(run, L, PAPER_ESCALATION))
-    new, t_new = _timed(lambda: run_counts([run], L, schedule=PAPER_ESCALATION)[0])
-    assert np.array_equal(ref, new), "fused MC counts must be bit-identical"
+    ref = _prefusion_counts(run, L, PAPER_ESCALATION)
+    new = run_counts([run], L, schedule=PAPER_ESCALATION)[0]
+    assert np.array_equal(ref, new), "MC counts must be bit-identical"
     return {
         "n_samples": run.n_samples,
         "rng_block": RNG_BLOCK,
-        "per_block_s": round(t_old, 4),
-        "fused_s": round(t_new, 4),
-        "speedup": round(t_old / t_new, 2),
         "bit_identical_counts": True,
     }
 
@@ -222,7 +216,7 @@ def test_cer_core_speedups():
     fig3 = _bench_fig3_kernel()
     fig8 = _bench_fig8_kernel()
     grid = _bench_optimizer_grid()
-    fusion = _bench_mc_fusion()
+    mc_counts = _check_mc_counts()
     end_to_end = _bench_end_to_end()
 
     emit_json(
@@ -233,7 +227,7 @@ def test_cer_core_speedups():
             "analytic_fig3_kernel": fig3,
             "analytic_fig8_kernel": fig8,
             "optimizer_grid_scan": grid,
-            "mc_task_fusion": fusion,
+            "mc_counts": mc_counts,
             "figure_sweeps_end_to_end": end_to_end,
         },
     )

@@ -8,6 +8,10 @@ SoA-over-object speedup, an epoch-scaling probe, and memory telemetry
 (process-tree peak RSS plus the SoA state bytes per device) in
 ``results/BENCH_fleet.json``.
 
+A second row times the wear path, which the default preset never
+reaches: ``stress_config(n_devices=128, n_epochs=8)`` (retries, marks,
+deaths) on both engines, in block operations per second.
+
 Env knobs, so CI smoke and local runs can right-size it:
 
 - ``REPRO_FLEET_DEVICES``        fleet size (default 100_000)
@@ -22,7 +26,7 @@ import os
 import time
 
 from _report import emit_json, peak_rss_bytes
-from repro.fleet import FleetConfig, FleetEngine, fleet_mc
+from repro.fleet import FleetConfig, FleetEngine, fleet_mc, stress_config
 from repro.montecarlo.rng import seed_entropy
 
 DEVICES = int(os.environ.get("REPRO_FLEET_DEVICES", "100000"))
@@ -32,6 +36,12 @@ DPS_FLOOR = float(os.environ.get("REPRO_FLEET_DPS_FLOOR", "0"))
 SPEEDUP_FLOOR = float(os.environ.get("REPRO_FLEET_SPEEDUP_FLOOR", "0"))
 
 PROBE = max(DEVICES // 10, 1)
+
+#: The wear row: a stress fleet across the hazard knee, timed per seed.
+WEAR = stress_config(n_devices=128, n_epochs=8)
+WEAR_SEEDS = range(3)
+#: ``FleetSummary`` counters that count block operations.
+BLOCK_OPS = ("writes", "reads", "refreshes", "write_retries")
 
 
 def _run(n_devices: int, engine: str) -> tuple[float, int]:
@@ -43,6 +53,29 @@ def _run(n_devices: int, engine: str) -> tuple[float, int]:
     assert summary.total("writes") > 0
     assert summary.n_dead == 0
     return dt, summary.total("writes")
+
+
+def _wear_row() -> dict:
+    """Block ops/s of both engines on the stress fleet (same counts)."""
+    row: dict = {"config": "stress_config(n_devices=128, n_epochs=8)"}
+    counts = {}
+    for engine in ("soa", "object"):
+        ops = 0
+        t0 = time.perf_counter()
+        for seed in WEAR_SEEDS:
+            summary = fleet_mc(WEAR, seed=seed, jobs=1, engine=engine)
+            ops += sum(summary.total(name) for name in BLOCK_OPS)
+            counts.setdefault(seed, []).append(summary.counts)
+        dt = time.perf_counter() - t0
+        row[f"{engine}_s"] = round(dt, 3)
+        row[f"{engine}_block_ops_per_s"] = round(ops / dt, 1)
+    row["seeds"] = len(WEAR_SEEDS)
+    row["block_ops"] = ops
+    row["soa_speedup_vs_object"] = round(row["object_s"] / row["soa_s"], 2)
+    # The wear path really ran, and both engines agree on every count.
+    assert summary.total("write_retries") > 0 and summary.n_dead > 0
+    assert all((a == b).all() for a, b in counts.values())
+    return row
 
 
 def _soa_bytes_per_device() -> float:
@@ -57,6 +90,7 @@ def test_fleet_population_throughput():
     t_probe_soa, _ = _run(PROBE, "soa")
     t_probe_obj, _ = _run(PROBE, "object")
     t_full, n_writes = _run(DEVICES, "soa")
+    wear = _wear_row()
 
     devices_per_s = DEVICES / t_full
     de_per_s = DEVICES * EPOCHS / t_full
@@ -89,6 +123,7 @@ def test_fleet_population_throughput():
             "demand_writes": n_writes,
             "peak_rss_bytes": peak_rss_bytes(),
             "soa_state_bytes_per_device": round(_soa_bytes_per_device(), 1),
+            "wear": wear,
         },
     )
 

@@ -5,32 +5,36 @@
 population's state in the flat arrays of
 :class:`~repro.fleet.state.SoaFleetState` and advances an epoch with
 array operations end to end — batched traffic and payload draws, fused
-drift + sense over every scrubbed block at once, and wave-vectorized
-program passes — while remaining **bit-identical** to the object engine:
-same per-device RNG streams, consumed in the same per-device order, same
-counters, same state digests.
+drift + sense over every scrubbed block at once, and wave-scheduled
+program attempts — while remaining **bit-identical** to the object
+engine: same per-device RNG streams, consumed in the same per-device
+order, same counters, same state digests.
 
 Two facts make the vectorization sound:
 
 - Devices are independent.  Each owns its three generator streams, so
   work may be *reordered across devices* freely as long as each device's
-  own draw order is preserved.  The engine exploits this with *waves*:
-  wave ``w`` programs the ``w``-th write of every device concurrently —
-  within a device, writes still happen in trace order.
+  own draw order is preserved.  The engine exploits this with *wave
+  steps*: one step makes one program attempt for every device that has
+  a write pending — within a device, writes and their retries still
+  happen in trace order.
 - Sensing draws no randomness, so phase D's fused drift/threshold pass
   over all ``(device, block)`` rows touches no stream at all.
 
-**Fast/slow epoch split.**  While no cell in the population has reached
-its endurance budget (tracked with a cheap wear upper bound against the
-population's minimum endurance), an epoch provably cannot produce
-faults, verify failures, retries, marks, or deaths — so the per-write
-retry loop collapses to straight-line array code.  Once wear makes
-faults possible, the engine switches to a scalar-exact port of the
-object engine's retry/mark/death semantics operating on the same arrays
-(:meth:`_write_encoded` and friends), so stress configs and end-of-life
-fleets take the identical code path decisions.  Mixed histories are
-fine: the split is decided per epoch from state alone, which keeps
-``advance(a); advance(b)`` equal to ``advance(a + b)``.
+**One wave step** (:meth:`SoaFleetEngine._step`) is the object engine's
+write-and-verify loop body, run as array operations over all of the
+step's rows: bump wear, turn newly dead cells into faults, program the
+healthy cells, verify; on a failure take the first bad pair, mark it
+(or die with spares exhausted), force-highest the marked pair, and
+leave the write for a retry in the next step.  Every row whose
+pre-encoded states are stale — retries, and first attempts at a block
+marked earlier in the epoch — is re-encoded in one
+:class:`~repro.coding.batch.BatchThreeOnTwoCodec` call per step.  Only
+the per-device generator calls remain a Python loop.  While no cell in
+the population can have reached its endurance budget (a cheap wear
+upper bound against the population's minimum endurance), a step skips
+the fault gathers; in such an epoch every write completes in one
+attempt and the steps are plain write-slot waves.
 
 The batched generator seeding and payload draws come from
 :mod:`repro.fleet.fastrng`; each is verified against numpy once per
@@ -41,6 +45,7 @@ installed numpy disagrees.
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +59,7 @@ from repro.cells.drift import PAPER_ESCALATION, independent_escalated_alpha
 from repro.cells.faults import FaultMode
 from repro.cells.params import T0_SECONDS, WRITE_TRUNCATION_SIGMA
 from repro.core.designs import design_by_name
-from repro.core.device import DeviceStats, SpareExhausted, device_state_digest
+from repro.core.device import DeviceStats, device_state_digest
 from repro.fleet.config import (
     FLEET_SPAWN_KEY,
     KEY_DATA,
@@ -73,8 +78,10 @@ from repro.fleet.fastrng import (
     payload_fast_ok,
 )
 from repro.fleet.state import SoaFleetState, alive_indices
-from repro.montecarlo.rng import truncated_normal, truncated_normal_from_uniform
-from repro.wearout.mark_and_spare import MarkAndSpareBlock
+from repro.montecarlo.rng import truncated_normal_from_uniform
+# The scalar draw stays bound here beside its array tail: perfbench's
+# layer trace wraps this module's physics bindings by name.
+from repro.montecarlo.rng import truncated_normal  # noqa: F401
 from repro.workloads.synthetic import draw_ops_fast
 
 __all__ = ["SoaDeviceView", "SoaFleetEngine"]
@@ -96,6 +103,23 @@ _C_DEATHS = counter_index("deaths")
 _C_CELL_WRITE = counter_index("cell_programs_write")
 _C_CELL_REFRESH = counter_index("cell_programs_refresh")
 _C_SENSED = counter_index("cells_sensed")
+
+
+class _WriteQueue(NamedTuple):
+    """One phase's block writes, grouped by device, trace order within.
+
+    ``states``/``checks`` are pre-encoded under each block's layout at
+    the start of the phase; ``stale`` flags the ``(device, block)``
+    pairs marked since, whose pre-encoded rows no longer apply.
+    """
+
+    devs: np.ndarray
+    blks: np.ndarray
+    bits: np.ndarray
+    states: np.ndarray
+    checks: np.ndarray
+    stale: np.ndarray
+    t_now: float
 
 
 class SoaDeviceView:
@@ -168,6 +192,7 @@ class SoaFleetEngine:
         self._ms_config = codec.ms_config
         self._n_mlc = codec.n_mlc_cells
         self._n_spare_pairs = self._ms_config.n_spare_pairs
+        self._cells_per_device = config.n_blocks * self._n_mlc
 
         base = design_by_name(config.design)
         if base.n_levels != 3:
@@ -240,14 +265,12 @@ class SoaFleetEngine:
             )
         s.lr0[:] = self._bot_lr  # fresh cells sit at the lowest level
 
-        # Fast-epoch machinery: a cheap per-cell wear upper bound against
-        # the population's minimum endurance proves fault-freeness; a
-        # per-(device, block) program time serves fused sensing while
-        # every block was programmed whole (always true before the first
-        # slow epoch).
+        # A cheap per-cell wear upper bound against the population's
+        # minimum endurance proves an epoch fault-free; until the first
+        # epoch that cannot be proven so, every block is programmed whole
+        # and a per-(device, block) program time serves fused sensing.
         self._min_endurance = float(s.endurance.min())
         self._writes_bound = 0
-        self._any_fault = False
         self._tprog_uniform = True
         self._tprog_row = np.zeros((n, config.n_blocks))
         self._merged_normals = merged_normals_ok()
@@ -331,22 +354,71 @@ class SoaFleetEngine:
 
     def _advance_one(self) -> np.ndarray:
         cfg = self.config
+        s = self._s
         c = np.zeros(N_COUNTERS, dtype=np.int64)
         t0 = self._epoch * cfg.epoch_seconds
         t1 = t0 + cfg.epoch_seconds
         alive = alive_indices(self._alive)
-        # An epoch adds at most ops_per_epoch + 1 writes to any cell, so
-        # while the wear bound stays below the population's minimum
-        # endurance no fault (hence no retry, mark, or death) can occur.
-        fast = (
-            not self._any_fault
-            and self._writes_bound + cfg.ops_per_epoch + 1 < self._min_endurance
-        )
-        if fast:
-            self._fast_epoch(alive, t0, t1, c)
-        else:
-            self._slow_epoch(alive, t0, t1, c)
+        # While no cell has failed an epoch adds at most ops_per_epoch + 1
+        # writes to any cell, so while the wear bound stays below the
+        # population's minimum endurance no cell can fail this epoch.  The
+        # bound only grows: once it stops holding it never holds again.
+        clean = self._writes_bound + cfg.ops_per_epoch + 1 < self._min_endurance
         self._writes_bound += cfg.ops_per_epoch + 1
+        # From the first epoch that may fail on, retries and force-highest
+        # program partial blocks: sensing reads per-cell program times.
+        self._tprog_uniform = self._tprog_uniform and clean
+
+        # Phases A-C: traffic and payload draws, one batch encode, then
+        # program in wave steps (trace order within each device).
+        plan = self._draw_epoch_plan(alive, c)
+        if plan:
+            devs = np.repeat(
+                np.array([k for k, _, _ in plan], dtype=np.int64),
+                [blocks.size for _, blocks, _ in plan],
+            )
+            blks = np.concatenate([blocks for _, blocks, _ in plan])
+            bits = np.vstack([bits for _, _, bits in plan])
+            writes, cells, _ = self._run_waves(devs, blks, bits, t0, clean, c)
+            c[_C_WRITES] += writes
+            c[_C_CELL_WRITE] += cells
+
+        # Phase D: scrub every written block of every survivor — fused
+        # drift + sense (no RNG), one batch decode, one batch re-encode,
+        # refresh in wave steps (block-ascending within each device).
+        survivors = alive[self._alive[alive]]
+        wr = s.written[survivors]
+        sdevs = np.repeat(survivors, wr.sum(axis=1))
+        sblks = np.nonzero(wr)[1]
+        r2 = sdevs.size
+        if r2:
+            sensed = self._sense_rows(sdevs, sblks, t1)
+            dec = self._batch.decode(sensed, s.slc[sdevs, sblks])
+            ok = np.flatnonzero(~dec.uncorrectable)
+            okd = sdevs[ok]
+            okb = sblks[ok]
+            data = dec.data_bits[ok]
+            silent = s.has_stored[okd, okb] & ~np.all(data == s.stored[okd, okb], axis=1)
+            reached = np.ones(r2, dtype=bool)
+            if ok.size:
+                refreshes, cells, died = self._run_waves(okd, okb, data, t1, clean, c)
+                c[_C_REFRESHES] += refreshes
+                c[_C_CELL_REFRESH] += cells
+                if died.size:
+                    # A device that dies mid-scrub reads no later block.
+                    last = np.full(self.n_devices, r2)
+                    last[okd[died]] = ok[died]
+                    reached = np.arange(r2) <= last[sdevs]
+            read = sdevs[reached]
+            c[_C_READS] += read.size
+            c[_C_SENSED] += read.size * self._n_mlc
+            np.add.at(s.st_reads, read, 1)
+            c[_C_UNCORRECTABLE] += int((dec.uncorrectable & reached).sum())
+            hit = reached[ok]
+            tec = dec.tec_corrected[ok][hit]
+            c[_C_TEC] += int(tec.sum())
+            np.add.at(s.st_tec, okd[hit], tec)
+            c[_C_SILENT] += int(silent[hit].sum())
         self._epoch += 1
         return c
 
@@ -387,148 +459,296 @@ class SoaFleetEngine:
         return plan
 
     # ------------------------------------------------------------------
-    # Fast path: provably fault-free epoch, straight-line array code.
-    def _fast_epoch(
-        self, alive: np.ndarray, t0: float, t1: float, c: np.ndarray
-    ) -> None:
-        cfg = self.config
+    # Phases C and D: block writes as wave steps of program attempts.
+    def _run_waves(
+        self,
+        devs: np.ndarray,
+        blks: np.ndarray,
+        bits: np.ndarray,
+        t_now: float,
+        clean: bool,
+        c: np.ndarray,
+    ) -> tuple[int, int, np.ndarray]:
+        """Run a phase's block writes to completion in wave steps.
+
+        Rows are grouped by device, in execution order within each.  All
+        are batch-encoded against their blocks' current layouts up front;
+        then step ``w`` makes one program attempt for every device with a
+        write pending — its next write's first attempt, or a retry of the
+        attempt that failed in step ``w - 1``.  A device that runs out of
+        spares drops its remaining writes.  Returns ``(writes started,
+        cells programmed, rows whose write killed their device)``.
+        """
+        states, checks = self._batch.encode(bits, self._s.marked[devs, blks])
+        stale = np.zeros(self._s.written.shape, dtype=bool)
+        q = _WriteQueue(devs, blks, bits, states, checks, stale, t_now)
+        starts = np.flatnonzero(np.r_[True, devs[1:] != devs[:-1]])
+        ends = np.r_[starts[1:], devs.size]
+        pos = starts.copy()
+        attempt = np.zeros(starts.size, dtype=np.int64)
+        live = np.arange(starts.size)
+        writes = cells = 0
+        died: list[np.ndarray] = []
+        while live.size:
+            rows = pos[live]
+            att = attempt[live]
+            done, dead, n_cells = self._step(q, rows, att, clean, c)
+            writes += int(np.count_nonzero(att == 0))
+            cells += n_cells
+            attempt[live] = np.where(done, 0, att + 1)
+            pos[live[done]] += 1
+            if dead.any():
+                died.append(rows[dead])
+                pos[live[dead]] = ends[live[dead]]
+            live = live[pos[live] < ends[live]]
+        return writes, cells, np.concatenate(died) if died else np.zeros(0, np.int64)
+
+    def _step(
+        self,
+        q: _WriteQueue,
+        rows: np.ndarray,
+        att: np.ndarray,
+        clean: bool,
+        c: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """One program attempt for each queue row (at most one per device).
+
+        The body of :meth:`PCMDevice.write_encoded`'s write-and-verify
+        loop over all rows at once: encode where the pre-encoded row is
+        stale, bump wear, fault newly dead cells, program the healthy
+        ones, verify; a failed row marks its first bad pair (or its
+        device dies, spares exhausted), forces that pair to the top
+        state, and retries next step — unless this was its last attempt.
+        ``clean`` (no cell can fail) skips the fault gathers.  Returns
+        ``(done, dead, cells programmed)``.
+        """
         s = self._s
-        plan = self._draw_epoch_plan(alive, c)
-
-        if plan:
-            sizes = [blocks.size for _, blocks, _ in plan]
-            dev_rows = np.repeat(
-                np.array([k for k, _, _ in plan], dtype=np.int64), sizes
+        devs = q.devs[rows]
+        blks = q.blks[rows]
+        first = att == 0
+        s.st_writes[devs[first]] += 1
+        states = q.states[rows]
+        checks = q.checks[rows]
+        redo = ~first | q.stale[devs, blks]
+        if redo.any():
+            states[redo], checks[redo] = self._batch.encode(
+                q.bits[rows[redo]], s.marked[devs[redo], blks[redo]]
             )
-            blk_rows = np.concatenate([blocks for _, blocks, _ in plan])
-            bits_mat = np.vstack([bits for _, _, bits in plan])
-            # Phase B: one batch encode of the epoch's demand writes.
-            w_states, w_checks = self._batch.encode(
-                bits_mat, s.marked[dev_rows, blk_rows]
+
+        s.writes_3[devs, blks] += 1
+        healthy: np.ndarray | None = None
+        if not clean:
+            fault = s.fault_3[devs, blks]
+            newly = (s.writes_3[devs, blks] >= s.endurance_3[devs, blks]) & (
+                fault == _HEALTHY
             )
-            # Phase C: program in waves (wave w = write slot w of every
-            # device; within-device trace order is preserved).
-            slots = np.concatenate([np.arange(m) for m in sizes])
-            for w in range(max(sizes)):
-                sel = np.flatnonzero(slots == w)
-                devs = dev_rows[sel]
-                blks = blk_rows[sel]
-                self._program_wave(devs, blks, w_states[sel], t0)
-                s.slc[devs, blks] = w_checks[sel]
-                s.written[devs, blks] = True
-                s.stored[devs, blks] = bits_mat[sel]
-                s.has_stored[devs, blks] = True
-                s.st_writes[devs] += 1
-            r = dev_rows.size
-            c[_C_WRITES] += r
-            c[_C_CELL_WRITE] += r * self._n_mlc
+            if newly.any():
+                fault[newly] = s.pending_mode_3[devs, blks][newly]
+                s.fault_3[devs, blks] = fault
+            healthy = fault == _HEALTHY
+            if healthy.all():
+                healthy = None
+        self._program(devs, blks, states, healthy, q.t_now)
+        s.slc[devs, blks] = checks
+        n_cells = devs.size * self._n_mlc
 
-        # Phase D: scrub every written block of every device — fused
-        # drift + sense (no RNG), one batch decode, one batch re-encode,
-        # refresh in waves.
-        wr = s.written[alive]
-        per_dev = wr.sum(axis=1)
-        sdevs = np.repeat(alive, per_dev)
-        sblks = np.nonzero(wr)[1]
-        r2 = sdevs.size
-        if r2 == 0:
-            return
-        sensed = self._sense_rows(sdevs, sblks, t1, pin=False)
-        dec = self._batch.decode(sensed, s.slc[sdevs, sblks])
-        c[_C_READS] += r2
-        c[_C_SENSED] += r2 * self._n_mlc
-        np.add.at(s.st_reads, sdevs, 1)
-        unc = dec.uncorrectable
-        c[_C_UNCORRECTABLE] += int(unc.sum())
-        ok = np.flatnonzero(~unc)
-        if ok.size == 0:
-            return
-        okd = sdevs[ok]
-        okb = sblks[ok]
-        tec = dec.tec_corrected[ok]
-        c[_C_TEC] += int(tec.sum())
-        np.add.at(s.st_tec, okd, tec)
-        data = dec.data_bits[ok]
-        silent = ~np.all(data == s.stored[okd, okb], axis=1)
-        c[_C_SILENT] += int(silent.sum())
-        f_states, f_checks = self._batch.encode(data, s.marked[okd, okb])
-        # Refresh waves: slot w = each device's w-th scrubbed-ok block
-        # (block-ascending within a device, as the object engine's loop).
-        starts = np.flatnonzero(np.r_[True, okd[1:] != okd[:-1]])
-        seg_len = np.diff(np.r_[starts, okd.size])
-        slots = np.arange(okd.size) - np.repeat(starts, seg_len)
-        for w in range(int(seg_len.max())):
-            sel = np.flatnonzero(slots == w)
-            devs = okd[sel]
-            blks = okb[sel]
-            self._program_wave(devs, blks, f_states[sel], t1)
-            s.slc[devs, blks] = f_checks[sel]
-            s.stored[devs, blks] = data[sel]
-            s.st_writes[devs] += 1
-        c[_C_REFRESHES] += ok.size
-        c[_C_CELL_REFRESH] += ok.size * self._n_mlc
+        done = np.ones(devs.size, dtype=bool)
+        dead = np.zeros(devs.size, dtype=bool)
+        if healthy is not None:
+            # A stuck-reset cell passes verify iff its target is the top.
+            ok = healthy | ((fault == _STUCK_RESET) & (states == self._top))
+            f = np.flatnonzero(~ok.all(axis=1))
+            if f.size:
+                df = devs[f]
+                bf = blks[f]
+                pair = np.argmin(ok[f], axis=1) // 2  # first bad cell's pair
+                s.st_retries[df] += 1
+                c[_C_RETRIES] += f.size
+                marked = s.marked[df, bf]
+                fresh = ~marked[np.arange(f.size), pair]
+                full = marked.sum(axis=1) >= self._n_spare_pairs
+                new = fresh & ~full
+                s.marked[df[new], bf[new], pair[new]] = True
+                s.st_marks[df[new]] += 1
+                c[_C_MARKS] += int(new.sum())
+                q.stale[df[new], bf[new]] = True
+                # A mark that finds the spares exhausted kills the device
+                # before any force; the last attempt gives up after it.
+                force = ~(fresh & full)
+                n_cells += self._force_highest(df[force], bf[force], pair[force], q.t_now)
+                done[f] = False
+                dead[f] = ~force | (att[f] == self._n_spare_pairs)
+                if dead.any():
+                    self._alive[devs[dead]] = False
+                    c[_C_DEATHS] += int(dead.sum())
 
-    def _program_wave(
+        d = devs[done]
+        b = blks[done]
+        s.written[d, b] = True
+        s.stored[d, b] = q.bits[rows[done]]
+        s.has_stored[d, b] = True
+        return done, dead, n_cells
+
+    def _program(
         self,
         devs: np.ndarray,
         blks: np.ndarray,
         states: np.ndarray,
+        healthy: np.ndarray | None,
         t_now: float,
     ) -> None:
-        """Program one whole block per device, all devices at once.
-
-        Per device this consumes exactly the draws
-        :meth:`CellArray.program` consumes for a fully healthy block —
-        the truncated-normal uniforms, then the exponent normal, then
-        the escalation normal (the two normal calls merge into one when
-        the ziggurat self-check passed) — so the streams stay aligned
-        with the object engine's.
-        """
-        nm = self._n_mlc
-        w = devs.size
-        u = np.empty((w, nm))
-        zz = np.empty((w, 2 * nm))
-        if self._merged_normals:
-            for j in range(w):
-                g = self._g_dev[int(devs[j])]
-                u[j] = g.random(nm)
-                zz[j] = g.standard_normal(2 * nm)
-        else:
-            for j in range(w):
-                g = self._g_dev[int(devs[j])]
-                u[j] = g.random(nm)
-                zz[j, :nm] = g.standard_normal(nm)
-                zz[j, nm:] = g.standard_normal(nm)
-        z_r = truncated_normal_from_uniform(
-            u, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA
-        )
-        st = states.astype(np.int64)
-        lr0 = programmed_log_resistance(self._mu_lr[st], self._sg_lr[st], z_r)
-        alpha = programmed_alpha(
-            self._mu_a[devs[:, None], st], self._sg_a[devs[:, None], st], zz[:, :nm]
-        )
-        esc = independent_escalated_alpha(
-            zz[:, nm:], self._mu_esc[devs][:, None], self._sg_esc[devs][:, None]
-        )
+        """Program one block per device: every cell, or the ``healthy`` ones."""
         s = self._s
+        nm = self._n_mlc
+        if healthy is not None:
+            first = devs * self._cells_per_device + blks * nm
+            cells = (first[:, None] + np.arange(nm))[healthy]
+            self._program_cells(devs, healthy.sum(axis=1), cells, states[healthy], t_now)
+            return
+        w = devs.size
+        u, z = self._draws(devs, np.full(w, nm))
+        zz = z.reshape(w, 2 * nm)
+        st = states.astype(np.int64)
+        lr0, alpha, esc = self._physics(
+            devs[:, None], st, u.reshape(w, nm), zz[:, :nm], zz[:, nm:]
+        )
         s.lr0_3[devs, blks] = lr0
         s.alpha_3[devs, blks] = alpha
         s.alpha_esc_3[devs, blks] = esc
         s.t_prog_3[devs, blks] = t_now
         s.target_3[devs, blks] = st
-        s.writes_3[devs, blks] += 1
-        self._tprog_row[devs, blks] = t_now
+        if self._tprog_uniform:
+            self._tprog_row[devs, blks] = t_now
+
+    def _program_cells(
+        self,
+        devs: np.ndarray,
+        counts: np.ndarray,
+        cells: np.ndarray,
+        states: np.ndarray,
+        t_now: float,
+    ) -> None:
+        """Program ``counts[j]`` cells of device ``devs[j]`` per row.
+
+        ``cells`` are flat indices into the per-cell arrays, row after
+        row, ascending within a row (the order the draws are consumed).
+        """
+        s = self._s
+        u, z = self._draws(devs, counts)
+        # Row j's normals sit at z[2*o_j : 2*o_j + 2*n_j], exponents first.
+        at = np.arange(u.size) + np.repeat(np.cumsum(counts) - counts, counts)
+        z_alpha = z[at]
+        z_esc = z[at + np.repeat(counts, counts)]
+        del z, at  # keep the step's peak memory down: the physics allocates
+        st = states.astype(np.int64, copy=False)
+        lr0, alpha, esc = self._physics(np.repeat(devs, counts), st, u, z_alpha, z_esc)
+        s.lr0.reshape(-1)[cells] = lr0
+        s.alpha.reshape(-1)[cells] = alpha
+        s.alpha_esc.reshape(-1)[cells] = esc
+        s.t_prog.reshape(-1)[cells] = t_now
+        s.target.reshape(-1)[cells] = st
+
+    def _draws(
+        self, devs: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's :meth:`CellArray.program` draws, from its device.
+
+        Row ``j`` takes ``counts[j]`` uniforms (truncated-normal
+        quantiles) and then ``2 * counts[j]`` normals (exponents, then
+        escalation; one call when the merged-normals self-check passed),
+        so every stream stays aligned with the object engine's.  Rows
+        are laid end to end in ``u`` and ``z``.
+        """
+        n_cells = int(counts.sum())
+        u = np.empty(n_cells)
+        z = np.empty(2 * n_cells)
+        g_dev = self._g_dev
+        merged = self._merged_normals
+        o = 0
+        for k, n in zip(devs.tolist(), counts.tolist()):
+            if not n:
+                continue
+            g = g_dev[k]
+            g.random(out=u[o : o + n])
+            if merged:
+                g.standard_normal(out=z[2 * o : 2 * o + 2 * n])
+            else:
+                g.standard_normal(out=z[2 * o : 2 * o + n])
+                g.standard_normal(out=z[2 * o + n : 2 * o + 2 * n])
+            o += n
+        return u, z
+
+    def _physics(
+        self,
+        devs: np.ndarray,
+        st: np.ndarray,
+        u: np.ndarray,
+        z_alpha: np.ndarray,
+        z_esc: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Programmed ``(lr0, alpha, alpha_esc)``: CellArray's expressions."""
+        z_r = truncated_normal_from_uniform(
+            u, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA
+        )
+        lr0 = programmed_log_resistance(
+            np.take(self._mu_lr, st), np.take(self._sg_lr, st), z_r
+        )
+        alpha = programmed_alpha(self._mu_a[devs, st], self._sg_a[devs, st], z_alpha)
+        esc = independent_escalated_alpha(z_esc, self._mu_esc[devs], self._sg_esc[devs])
+        return lr0, alpha, esc
+
+    def _force_highest(
+        self, devs: np.ndarray, blks: np.ndarray, pair: np.ndarray, t_now: float
+    ) -> int:
+        """:meth:`CellArray.force_highest` on one pair per row.
+
+        Stuck-set cells get a revival draw (success: stuck at the top);
+        the healthy cells are programmed to the top state, wear and all.
+        Returns the number of cells programmed.
+        """
+        s = self._s
+        first = devs * self._cells_per_device + blks * self._n_mlc + 2 * pair
+        cells = first[:, None] + np.arange(2)
+        fault = s.fault.reshape(-1)
+        fc = fault[cells]
+        stuck_set = fc == _STUCK_SET
+        n_set = stuck_set.sum(axis=1)
+        if n_set.any():
+            u = np.empty(int(n_set.sum()))
+            o = 0
+            for k, n in zip(devs.tolist(), n_set.tolist()):
+                if n:
+                    self._g_dev[k].random(out=u[o : o + n])
+                    o += n
+            fault[cells[stuck_set][u < self.config.p_revive]] = _STUCK_RESET
+        healthy = fc == _HEALTHY
+        h = cells[healthy]
+        writes = s.writes.reshape(-1)
+        writes[h] += 1
+        lives = writes[h] < s.endurance.reshape(-1)[h]
+        fault[h[~lives]] = s.pending_mode.reshape(-1)[h[~lives]]
+        healthy[healthy] = lives
+        if lives.any():
+            self._program_cells(
+                devs,
+                healthy.sum(axis=1),
+                cells[healthy],
+                np.full(int(lives.sum()), self._top),
+                t_now,
+            )
+        return int(h.size)
 
     def _sense_rows(
-        self, sdevs: np.ndarray, sblks: np.ndarray, t_now: float, *, pin: bool
+        self, sdevs: np.ndarray, sblks: np.ndarray, t_now: float
     ) -> np.ndarray:
         """Fused drift + threshold for many ``(device, block)`` rows.
 
         Row-uniform program times (every block so far programmed in one
         shot) let the log-time factor collapse to one value per row;
-        after any slow epoch partial programs exist and the per-cell
-        times and fault pinning take over.  Either way this is the same
-        arithmetic :meth:`CellArray.log_resistance` runs per block.
+        once an epoch could fail, partial programs exist and the
+        per-cell times and fault pinning take over.  Either way this is
+        the same arithmetic :meth:`CellArray.log_resistance` runs per
+        block.
         """
         s = self._s
         if self._tprog_uniform:
@@ -544,243 +764,8 @@ class SoaFleetEngine:
             ell,
             self._lr_break,
         )
-        if pin:
+        if not self._tprog_uniform:
             fault = s.fault_3[sdevs, sblks]
             lr = np.where(fault == _STUCK_RESET, self._top_lr, lr)
             lr = np.where(fault == _STUCK_SET, self._bot_lr, lr)
         return np.searchsorted(self._thresholds, lr, side="right")
-
-    # ------------------------------------------------------------------
-    # Slow path: scalar-exact port of the object engine's epoch with
-    # faults, retries, marks, and deaths, operating on the SoA arrays.
-    def _slow_epoch(
-        self, alive: np.ndarray, t0: float, t1: float, c: np.ndarray
-    ) -> None:
-        cfg = self.config
-        s = self._s
-        # Phase C below may partial-program cells (retries, force-highest
-        # on marked pairs) without touching ``_tprog_row``, so this very
-        # epoch's scrub must already read per-cell program times.
-        self._tprog_uniform = False
-        marks0 = s.st_marks.copy()
-        retries0 = s.st_retries.copy()
-        tec0 = s.st_tec.copy()
-        cells0 = s.writes.sum(axis=1)
-
-        plan = self._draw_epoch_plan(alive, c)
-
-        # Phase B: batch encode against each block's current layout.
-        w_states = w_checks = None
-        if plan:
-            dev_rows = np.repeat(
-                np.array([k for k, _, _ in plan], dtype=np.int64),
-                [blocks.size for _, blocks, _ in plan],
-            )
-            blk_rows = np.concatenate([blocks for _, blocks, _ in plan])
-            w_states, w_checks = self._batch.encode(
-                np.vstack([bits for _, _, bits in plan]),
-                s.marked[dev_rows, blk_rows],
-            )
-
-        # Phase C: program device by device, trace order within each.
-        writes0 = s.st_writes.copy()
-        r = 0
-        for k, blocks, bits in plan:
-            dirty: set[int] = set()
-            dead = False
-            for j in range(blocks.size):
-                if dead:
-                    r += 1
-                    continue
-                b = int(blocks[j])
-                mk0 = int(s.st_marks[k])
-                try:
-                    if b in dirty:
-                        # Layout changed since the batch encode: the
-                        # pre-encoded row is stale; take the scalar path.
-                        self._write_encoded(k, b, bits[j], t0)
-                    else:
-                        assert w_states is not None and w_checks is not None
-                        self._write_encoded(
-                            k, b, bits[j], t0, states=w_states[r], check=w_checks[r]
-                        )
-                except SpareExhausted:
-                    self._alive[k] = False
-                    c[_C_DEATHS] += 1
-                    dead = True
-                    r += 1
-                    continue
-                if int(s.st_marks[k]) != mk0:
-                    dirty.add(b)
-                s.stored[k, b] = bits[j]
-                s.has_stored[k, b] = True
-                r += 1
-        c[_C_WRITES] += int((s.st_writes - writes0)[alive].sum())
-        cells_after_c = s.writes.sum(axis=1)
-        c[_C_CELL_WRITE] += int((cells_after_c - cells0)[alive].sum())
-
-        # Phase D: scrub — sense everything, decode in one batch, refresh.
-        survivors = alive[self._alive[alive]]
-        refresh0 = s.st_writes.copy()
-        wr = s.written[survivors]
-        sdevs = np.repeat(survivors, wr.sum(axis=1))
-        sblks = np.nonzero(wr)[1]
-        r2 = sdevs.size
-        if r2:
-            sensed = self._sense_rows(sdevs, sblks, t1, pin=True)
-            dec = self._batch.decode(sensed, s.slc[sdevs, sblks])
-            ok = np.flatnonzero(~dec.uncorrectable)
-            f_states = f_checks = None
-            if ok.size:
-                f_states, f_checks = self._batch.encode(
-                    dec.data_bits[ok], s.marked[sdevs[ok], sblks[ok]]
-                )
-            enc_row = {int(j): pos for pos, j in enumerate(ok)}
-            j = 0
-            while j < r2:
-                k = int(sdevs[j])
-                dead = False
-                while j < r2 and int(sdevs[j]) == k:
-                    b = int(sblks[j])
-                    if dead:
-                        j += 1
-                        continue
-                    s.st_reads[k] += 1
-                    c[_C_READS] += 1
-                    c[_C_SENSED] += self._n_mlc
-                    if dec.uncorrectable[j]:
-                        c[_C_UNCORRECTABLE] += 1
-                        j += 1
-                        continue
-                    s.st_tec[k] += int(dec.tec_corrected[j])
-                    data = dec.data_bits[j]
-                    if s.has_stored[k, b] and not np.array_equal(
-                        data, s.stored[k, b]
-                    ):
-                        c[_C_SILENT] += 1
-                    pos = enc_row[j]
-                    assert f_states is not None and f_checks is not None
-                    try:
-                        self._write_encoded(
-                            k, b, data, t1, states=f_states[pos], check=f_checks[pos]
-                        )
-                    except SpareExhausted:
-                        self._alive[k] = False
-                        c[_C_DEATHS] += 1
-                        dead = True
-                        j += 1
-                        continue
-                    s.stored[k, b] = data
-                    j += 1
-        c[_C_REFRESHES] += int((s.st_writes - refresh0)[survivors].sum())
-        c[_C_CELL_REFRESH] += int(
-            (s.writes.sum(axis=1) - cells_after_c)[survivors].sum()
-        )
-        c[_C_MARKS] += int((s.st_marks - marks0)[alive].sum())
-        c[_C_RETRIES] += int((s.st_retries - retries0)[alive].sum())
-        c[_C_TEC] += int((s.st_tec - tec0)[alive].sum())
-
-        self._any_fault = bool(s.fault.any())
-
-    # ------------------------------------------------------------------
-    # Scalar per-device primitives (ports of PCMDevice/CellArray methods
-    # over rows of the population arrays; draw orders are identical).
-    def _block_view(self, k: int, b: int) -> MarkAndSpareBlock:
-        """A MarkAndSpareBlock whose marked mask *is* the SoA row."""
-        blk = MarkAndSpareBlock(self._ms_config)
-        blk._marked = self._s.marked[k, b]
-        return blk
-
-    def _write_encoded(
-        self,
-        k: int,
-        b: int,
-        data_bits: np.ndarray,
-        t_now: float,
-        states: np.ndarray | None = None,
-        check: np.ndarray | None = None,
-    ) -> None:
-        """Port of :meth:`PCMDevice.write_encoded` for device row ``k``."""
-        s = self._s
-        s.st_writes[k] += 1
-        blk = self._block_view(k, b)
-        bits = np.asarray(data_bits).astype(np.uint8)
-        base = b * self._n_mlc
-        idx = np.arange(base, base + self._n_mlc)
-        codec = self._batch.codec
-        for attempt in range(self._n_spare_pairs + 1):
-            if attempt or states is None or check is None:
-                states, check = codec.encode(bits, blk)
-            ok = self._cell_program(k, idx, np.asarray(states, dtype=np.int64), t_now)
-            s.slc[k, b] = check
-            bad = np.nonzero(~ok)[0]
-            if bad.size == 0:
-                s.written[k, b] = True
-                return
-            s.st_retries[k] += 1
-            pair = int(bad[0]) // 2
-            already = pair in set(blk.marked_pairs.tolist())
-            if not already:
-                blk.mark(pair)  # raises SpareExhausted when out
-                s.st_marks[k] += 1
-            # Force both cells of the marked pair toward S4 (INV).
-            pc = idx[2 * pair : 2 * pair + 2]
-            self._cell_force_highest(k, pc, t_now)
-        raise SpareExhausted(f"block {b}: wearout beyond spare budget")
-
-    def _cell_program(
-        self, k: int, idx: np.ndarray, st: np.ndarray, t_now: float
-    ) -> np.ndarray:
-        """Port of :meth:`CellArray.program` on device ``k``'s row."""
-        s = self._s
-        writes = s.writes[k]
-        fault = s.fault[k]
-        writes[idx] += 1
-        newly_dead = (writes[idx] >= s.endurance[k][idx]) & (fault[idx] == _HEALTHY)
-        if np.any(newly_dead):
-            dead = idx[newly_dead]
-            fault[dead] = s.pending_mode[k][dead]
-
-        healthy = fault[idx] == _HEALTHY
-        ok_idx = idx[healthy]
-        ok_st = st[healthy]
-        if ok_idx.size:
-            g = self._g_dev[k]
-            z_r = truncated_normal(
-                g, 0.0, 1.0, -WRITE_TRUNCATION_SIGMA, WRITE_TRUNCATION_SIGMA,
-                ok_idx.size,
-            )
-            s.lr0[k][ok_idx] = programmed_log_resistance(
-                self._mu_lr[ok_st], self._sg_lr[ok_st], z_r
-            )
-            z = g.standard_normal(ok_idx.size)
-            alpha = programmed_alpha(self._mu_a[k][ok_st], self._sg_a[k][ok_st], z)
-            s.alpha[k][ok_idx] = alpha
-            fresh = g.standard_normal(ok_idx.size)
-            s.alpha_esc[k][ok_idx] = independent_escalated_alpha(
-                fresh, self._mu_esc[k], self._sg_esc[k]
-            )
-            s.t_prog[k][ok_idx] = t_now
-            s.target[k][ok_idx] = ok_st
-
-        verify_ok = healthy.copy()
-        # A stuck-reset cell passes verify iff the target is the top state.
-        stuck_reset = fault[idx] == _STUCK_RESET
-        verify_ok |= stuck_reset & (st == self._top)
-        return verify_ok
-
-    def _cell_force_highest(self, k: int, idx: np.ndarray, t_now: float) -> np.ndarray:
-        """Port of :meth:`CellArray.force_highest` on device ``k``'s row."""
-        s = self._s
-        fault = s.fault[k]
-        stuck_set = fault[idx] == _STUCK_SET
-        if np.any(stuck_set):
-            revived = self._g_dev[k].random(int(stuck_set.sum())) < self.config.p_revive
-            tgt = idx[stuck_set][revived]
-            fault[tgt] = _STUCK_RESET
-        stuck_reset = fault[idx] == _STUCK_RESET
-        healthy = fault[idx] == _HEALTHY
-        h_idx = idx[healthy]
-        if h_idx.size:
-            self._cell_program(k, h_idx, np.full(h_idx.size, self._top), t_now)
-        return healthy | stuck_reset

@@ -84,7 +84,9 @@ class SoaFleetState:
         self.t_prog_3 = self.t_prog.reshape(shape3)
         self.target_3 = self.target.reshape(shape3)
         self.writes_3 = self.writes.reshape(shape3)
+        self.endurance_3 = self.endurance.reshape(shape3)
         self.fault_3 = self.fault.reshape(shape3)
+        self.pending_mode_3 = self.pending_mode.reshape(shape3)
 
     @property
     def nbytes(self) -> int:

@@ -6,14 +6,12 @@ The engine's unit of randomness is a fixed-size *block* of
 generator :func:`repro.montecarlo.rng.spawn_rngs` would produce — so a
 block's samples are a pure function of ``(entropy, prefix, i)``.  The
 ``chunk`` parameter only groups whole blocks into pool tasks.  Within a
-task, blocks are drawn one generator at a time (preserving the per-block
-draw order exactly) but *evaluated fused*: groups of up to
-:data:`_FUSE_BLOCKS` blocks are concatenated and pushed through
-:func:`~repro.montecarlo.cer.critical_log_times` and a single
-bincount/cumsum reduction.  Error counts are sums of per-sample
-indicators ``L* <= L(t)``, so any grouping of the samples yields the
-same integer counts — results are therefore **bit-identical for any
-chunk size, any fuse-group size, and any worker count**, which also
+task, each block is drawn from its own generator and reduced on its own:
+:func:`~repro.montecarlo.cer.critical_log_times`, a sort, and one
+``searchsorted`` against the time grid.  Error counts are sums of
+per-sample indicators ``L* <= L(t)``, so any grouping of the blocks
+yields the same integer counts — results are therefore
+**bit-identical for any chunk size and any worker count**, which also
 means the persistent result cache never needs chunk/jobs in its keys.
 
 Bump :data:`ENGINE_VERSION` when changing anything that alters a block's
@@ -57,16 +55,6 @@ RNG_BLOCK = 10_000
 #: Default chunk size (samples per pool task): bounds peak memory per
 #: worker to ~a few hundred MB.
 DEFAULT_CHUNK = 4_000_000
-
-#: RNG blocks concatenated per fused ``critical_log_times`` evaluation.
-#: Amortizes the per-block call overhead and replaces 10k-element sorts
-#: with one linear bincount/cumsum, while keeping the fused working set
-#: (~80k cells, ~640 KB per array) L2-resident: measured on the target
-#: box, larger groups run *slower* because the elementwise
-#: ``critical_log_times`` passes become DRAM-bound (128 blocks: ~1.6x
-#: slower than 8).  Counts are additive over samples, so the value never
-#: affects results (see module docstring).
-_FUSE_BLOCKS = 8
 
 #: Blocks actually evaluated since import (cache hits do not count).
 _BLOCKS_EVALUATED = 0
@@ -189,41 +177,19 @@ def _eval_task(task: _Task) -> np.ndarray:
     # processes do not share the chaos registry's module globals.
     fault_point("executor.task", item=task.item, first_block=task.first_block)
 
-    m = len(task.L_grid)
-    counts = np.zeros(m, dtype=np.int64)
-    for start in range(0, len(task.sizes), _FUSE_BLOCKS):
-        group = task.sizes[start : start + _FUSE_BLOCKS]
-        # Draw each block from its own generator, in block order, so the
-        # per-block sample stream is untouched (ENGINE_VERSION stays valid).
-        lr0s, alphas, zs = [], [], []
-        tier_zs: list[list[np.ndarray]] = [[] for _ in range(task.n_tiers)]
-        for offset, size in enumerate(group, start=start):
-            rng = block_rng(task.entropy, task.prefix + (task.first_block + offset,))
-            lr0, alpha, z = sample_state_cells(task.state, size, rng)
-            lr0s.append(lr0)
-            alphas.append(alpha)
-            zs.append(z)
-            for k in range(task.n_tiers):
-                tier_zs[k].append(rng.standard_normal(size))
+    counts = np.zeros(len(task.L_grid), dtype=np.int64)
+    for offset, size in enumerate(task.sizes):
+        rng = block_rng(task.entropy, task.prefix + (task.first_block + offset,))
+        lr0, alpha, z = sample_state_cells(task.state, size, rng)
         tier_z = None
         if task.n_tiers:
-            tier_z = [np.concatenate(parts) for parts in tier_zs]
+            tier_z = [rng.standard_normal(size) for _ in range(task.n_tiers)]
         L_star = critical_log_times(
-            np.concatenate(lr0s),
-            np.concatenate(alphas),
-            np.concatenate(zs),
-            task.state.drift.mu_alpha,
-            task.tau,
-            task.schedule,
-            tier_z,
+            lr0, alpha, z, task.state.drift.mu_alpha, task.tau, task.schedule, tier_z
         )
-        # errors by time t  <=>  L* <= L(t).  For each sample, the first
-        # grid index j with L_grid[j] >= L* is searchsorted-left; that
-        # sample contributes to counts[j:], so a bincount over the indices
-        # followed by a cumsum is the fused equivalent of the old
-        # per-block sort + searchsorted(L_star, L_grid, "right").
-        idx = np.searchsorted(task.L_grid, L_star, side="left")
-        counts += np.cumsum(np.bincount(idx, minlength=m + 1)[:m])
+        # errors by time t  <=>  L* <= L(t)
+        L_star.sort()
+        counts += np.searchsorted(L_star, task.L_grid, side="right")
     return counts
 
 

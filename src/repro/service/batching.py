@@ -13,8 +13,10 @@ The layering is sans-io:
 - :func:`execute_batch` — runs one batch of :class:`IoOp` against the
   device engine, coalescing reads into a single
   :meth:`~repro.coding.batch.BatchThreeOnTwoCodec.decode` per block
-  geometry and write *encodes* into one
-  :meth:`~repro.coding.batch.BatchThreeOnTwoCodec.encode` per wave;
+  geometry; writes run one op at a time through
+  :meth:`~repro.service.device.VirtualDevice.write_block` (each program
+  attempt encodes its own single row), in waves that keep same-block
+  writes in queue order;
 - :class:`DynamicBatcher` — the asyncio front: wakes on size or
   deadline, executes batches on a single worker thread (which also
   serializes every other touch of engine state), resolves futures.
@@ -240,7 +242,7 @@ def _execute_reads(ops: list[IoOp]) -> None:
 
 
 def _write_one(op: IoOp) -> dict:
-    """Execute one write op (the per-op slow path and retry handler)."""
+    """Execute one write op: encode, program and verify, retries included."""
     dev = op.device
     try:
         assert op.bits is not None
@@ -256,16 +258,17 @@ def _write_one(op: IoOp) -> dict:
 
 
 def _execute_writes(ops: list[IoOp]) -> None:
-    """Write path: batch-encode per wave, program per row.
+    """Write path: waves of distinct blocks, one op at a time.
 
     Ops are partitioned into *waves* with unique ``(device, block)``
     pairs, preserving queue order within each block, so a second write
     to the same block always sees the state (marks, epoch) the first
     one left behind — exactly as sequential execution would.
 
-    The wave's first-attempt encodes run as one
-    :meth:`BatchThreeOnTwoCodec.encode` call; rows whose write-and-verify
-    needs marking retries drop to the per-op loop (rare: wear events).
+    Every op runs :func:`_write_one`, i.e.
+    :meth:`VirtualDevice.write_block`, which encodes its own row (one
+    single-row :meth:`BatchThreeOnTwoCodec.encode` per program attempt,
+    retries included).  Encodes are not batched across a wave.
     """
     waves: list[list[IoOp]] = []
     seen_in_wave: list[set[tuple[str, int]]] = []

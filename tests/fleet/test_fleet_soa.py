@@ -27,6 +27,8 @@ from repro.campaign.spec import builtin_campaign
 from repro.campaign.store import RunStore
 from repro.cells.faults import FaultMode
 from repro.chaos import FaultPlan, FaultSpec, InjectedCrash, activate
+from repro.coding.batch import BatchThreeOnTwoCodec
+from repro.coding.blockcodec import ThreeOnTwoBlockCodec
 from repro.fleet import (
     FLEET_ENGINE_ENV,
     FLEET_SPAWN_KEY,
@@ -200,6 +202,64 @@ class TestPopulationDifferential:
         stacked = np.vstack([split.advance(1), split.advance(3), split.advance(2)])
         assert (all_at_once == stacked).all()
         assert whole.state_digest() == split.state_digest()
+
+
+class TestWaveEncodes:
+    """The wear path re-encodes in batches, never one block at a time.
+
+    Retries, and first attempts at a block marked earlier in the epoch,
+    need a fresh encode under the new layout.  The wave-step epoch sends
+    all of a step's such rows through one batch codec call.
+    """
+
+    CONFIG = stress_config(n_devices=32, n_epochs=5)
+
+    def _retries(self, counts):
+        return int(counts[:, counter_index("write_retries")].sum())
+
+    def test_scalar_codec_never_called(self, monkeypatch):
+        engine = SoaFleetEngine(self.CONFIG, seed_entropy(0))
+        calls = []
+        encode = ThreeOnTwoBlockCodec.encode
+
+        def counting(codec, *args, **kwargs):
+            calls.append(1)
+            return encode(codec, *args, **kwargs)
+
+        monkeypatch.setattr(ThreeOnTwoBlockCodec, "encode", counting)
+        counts = engine.advance(self.CONFIG.n_epochs)
+        assert self._retries(counts) > 0  # the wear path really ran
+        assert not calls
+
+    def test_at_most_one_batch_encode_per_wave_step(self, monkeypatch):
+        engine = SoaFleetEngine(self.CONFIG, seed_entropy(0))
+        step_of_call = []  # per batch encode: its wave step, or None
+        current = [None]
+        n_steps = [0]
+        encode = BatchThreeOnTwoCodec.encode
+        step = SoaFleetEngine._step
+
+        def counting_encode(codec, *args, **kwargs):
+            step_of_call.append(current[0])
+            return encode(codec, *args, **kwargs)
+
+        def counting_step(self, *args, **kwargs):
+            n_steps[0] += 1
+            current[0] = n_steps[0]
+            try:
+                return step(self, *args, **kwargs)
+            finally:
+                current[0] = None
+
+        monkeypatch.setattr(BatchThreeOnTwoCodec, "encode", counting_encode)
+        monkeypatch.setattr(SoaFleetEngine, "_step", counting_step)
+        counts = engine.advance(self.CONFIG.n_epochs)
+        in_steps = [s for s in step_of_call if s is not None]
+        assert len(in_steps) == len(set(in_steps)), "two encodes in one step"
+        # Outside the steps: one up-front encode per phase (writes, scrub).
+        assert len(step_of_call) - len(in_steps) <= 2 * self.CONFIG.n_epochs
+        # Many devices retry in the same step, so calls < retries.
+        assert 0 < len(in_steps) < self._retries(counts)
 
 
 class TestSummaryEquality:

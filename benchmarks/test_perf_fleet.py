@@ -37,7 +37,7 @@ SPEEDUP_FLOOR = float(os.environ.get("REPRO_FLEET_SPEEDUP_FLOOR", "0"))
 
 PROBE = max(DEVICES // 10, 1)
 
-#: The wear row: a stress fleet across the hazard knee, timed per seed.
+#: The wear row: a stress fleet across the hazard knee, timed over three seeds.
 WEAR = stress_config(n_devices=128, n_epochs=8)
 WEAR_SEEDS = range(3)
 #: ``FleetSummary`` counters that count block operations.

@@ -5,12 +5,51 @@ import pytest
 
 from repro.analysis.bler import binom_confidence, block_error_rate
 from repro.cli import main
+from repro.coding.batch import BatchThreeOnTwoCodec
+from repro.coding.blockcodec import ThreeOnTwoBlockCodec
 from repro.core.three_on_two import STATE_TO_TEC_BITS
-from repro.montecarlo.bler_mc import ERR_STATE, BlerResult, bler_mc
+from repro.montecarlo.bler_mc import BLER_SPAWN_KEY, ERR_STATE, BlerResult, bler_mc
+from repro.montecarlo.executor import plan_blocks
 from repro.montecarlo.results_cache import ResultsCache
+from repro.montecarlo.rng import block_rng, seed_entropy
 
 CERS = [3e-3, 1e-2]
 N_BLOCKS = 20_000
+
+#: ``(n_silent, n_errors)`` of ``bler_mc(PINNED_CERS, 25_000, seed=s)``,
+#: recorded from the dense injection loop (every block injected and
+#: decoded at every CER).  Any change to draws, injection or decode that
+#: moves a count shows up here.
+PINNED_CERS = (1e-3, 3e-3, 1e-2, 5e-2)
+PINNED_COUNTS = {
+    0: [(597, 1225), (3410, 7164), (10446, 21636), (12117, 25000)],
+    11: [(594, 1225), (3540, 7302), (10475, 21759), (12089, 25000)],
+}
+
+
+def dense_reference(cers, n_blocks, seed, n_spare_pairs=6, data_bits=512):
+    """Per-CER ``np.where`` injection + full decode of every block.
+
+    The straightforward evaluator: same RNG blocks and draw order as the
+    engine (data first, then one uniform per cell), no sparsity.
+    """
+    bc = BatchThreeOnTwoCodec(
+        ThreeOnTwoBlockCodec(data_bits=data_bits, n_spare_pairs=n_spare_pairs)
+    )
+    entropy = seed_entropy(seed)
+    counts = np.zeros((len(cers), 2), dtype=np.int64)
+    for index, size in enumerate(plan_blocks(n_blocks)):
+        rng = block_rng(entropy, (BLER_SPAWN_KEY, index))
+        data = rng.integers(0, 2, size=(size, data_bits), dtype=np.uint8)
+        u = rng.random((size, bc.codec.n_mlc_cells))
+        states, checks = bc.encode(data)
+        for j, cer in enumerate(cers):
+            read = np.where(u < cer, ERR_STATE[states], states)
+            out = bc.decode(read, checks)
+            mismatch = np.any(out.data_bits != data, axis=1)
+            counts[j, 0] += int((mismatch & ~out.uncorrectable).sum())
+            counts[j, 1] += int((out.uncorrectable | mismatch).sum())
+    return [(int(s), int(e)) for s, e in counts]
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +88,35 @@ class TestDeterminism:
     def test_common_random_numbers_make_curve_monotone(self, baseline):
         """Shared uniforms: more CER can only add errors, never remove."""
         assert baseline[0].n_errors <= baseline[1].n_errors
+
+
+class TestPinnedCounts:
+    @pytest.mark.parametrize("seed", sorted(PINNED_COUNTS))
+    def test_counts_are_pinned(self, seed):
+        results = bler_mc(PINNED_CERS, 25_000, seed=seed)
+        got = [(r.n_silent, r.n_errors) for r in results]
+        assert got == PINNED_COUNTS[seed]
+
+
+class TestDenseDifferential:
+    """The engine agrees with the dense reference evaluator exactly."""
+
+    @pytest.mark.parametrize(
+        "cers, n_blocks, spares",
+        [
+            # cer=0 and cer=1 bracket the thresholds; 12_345 blocks end
+            # in a partial RNG block.
+            ((0.0, 1e-3, 1.0), 12_345, 6),
+            # Duplicates and an unsorted order share one uniform draw.
+            ((1e-2, 2e-3, 1e-2, 2e-3), 3_000, 6),
+            # A non-default spare count changes the block geometry.
+            ((3e-3, 2e-2), 4_321, 2),
+        ],
+    )
+    def test_matches_dense_reference(self, cers, n_blocks, spares):
+        results = bler_mc(cers, n_blocks, seed=5, n_spare_pairs=spares)
+        got = [(r.n_silent, r.n_errors) for r in results]
+        assert got == dense_reference(cers, n_blocks, 5, n_spare_pairs=spares)
 
 
 class TestCache:

@@ -6,7 +6,10 @@ Times the Figure-9 read path both ways — the scalar
 the >= 50x speedup the batch layer exists for, and cross-validates the
 empirical BLER engine against the analytic Figure 5 curve at three CER
 operating points (the analytic value must fall inside each point's exact
-95% binomial interval).  Everything lands in
+95% binomial interval).  It also times the single-row batch encode and
+decode (the shapes a service write/read and a fleet retry send) and the
+``bler_mc`` wall time, and at the default 1e6 blocks asserts the BLER
+counts equal the pinned :data:`BLER_COUNTS`.  Everything lands in
 ``results/BENCH_datapath.json``.
 
 Block counts are env-tunable: ``REPRO_BLER_BLOCKS`` (default 1e6) scales
@@ -17,6 +20,7 @@ the speedup assertion on noisy shared runners; the committed
 """
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -32,6 +36,23 @@ BATCH_BLOCKS = int(os.environ.get("REPRO_BATCH_BLOCKS", 100_000))
 BLER_BLOCKS = int(os.environ.get("REPRO_BLER_BLOCKS", 1_000_000))
 BLER_CERS = [1e-3, 3e-3, 1e-2]
 SPEEDUP_FLOOR = float(os.environ.get("REPRO_SPEEDUP_FLOOR", 50.0))
+SINGLE_ROW_REPEATS = 2_000
+
+#: ``(n_errors, n_silent)`` per BLER_CERS point of ``bler_mc`` at 1e6
+#: blocks, seed 0: any change to the draws, the injection or the decode
+#: that moves a count fails here.
+BLER_COUNTS = {1e-3: (49329, 23592), 3e-3: (287311, 137814), 1e-2: (869972, 418888)}
+
+
+def _median_us(fn, repeats: int) -> float:
+    """Median wall time of one call, in microseconds."""
+    fn()  # warm
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e6 * statistics.median(times)
 
 
 def test_batch_decode_speedup_and_bler_validation():
@@ -58,8 +79,16 @@ def test_batch_decode_speedup_and_bler_validation():
     assert not out.uncorrectable.any()
     speedup = batch_rate / scalar_rate
 
+    # Single-row batch calls: the per-call cost small batches pay.
+    encode_us = _median_us(lambda: batch.encode(data[:1]), SINGLE_ROW_REPEATS)
+    decode_us = _median_us(
+        lambda: batch.decode(states[:1], checks[:1]), SINGLE_ROW_REPEATS
+    )
+
     # Empirical end-to-end BLER vs the analytic Figure 5 curve.
+    t0 = time.perf_counter()
     results = bler_mc(BLER_CERS, BLER_BLOCKS, seed=0, jobs=0)
+    bler_s = time.perf_counter() - t0
     points = []
     for r in results:
         lo, hi = r.confidence()
@@ -80,12 +109,17 @@ def test_batch_decode_speedup_and_bler_validation():
         "BENCH_datapath",
         {
             "benchmark": "batched 3-ON-2 datapath vs scalar codec",
+            "cpu_count": os.cpu_count() or 1,
+            "numpy": np.__version__,
             "scalar_blocks": SCALAR_BLOCKS,
             "batch_blocks": BATCH_BLOCKS,
             "scalar_blocks_per_s": round(scalar_rate),
             "batch_blocks_per_s": round(batch_rate),
             "speedup": round(speedup, 1),
+            "single_row_encode_us": round(encode_us, 1),
+            "single_row_decode_us": round(decode_us, 1),
             "bler_mc_blocks_per_point": BLER_BLOCKS,
+            "bler_mc_s": round(bler_s, 2),
             "bler_points": points,
         },
     )
@@ -95,3 +129,6 @@ def test_batch_decode_speedup_and_bler_validation():
     )
     for p in points:
         assert p["analytic_in_ci"], p
+    if BLER_BLOCKS == 1_000_000:
+        got = {p["cer"]: (p["n_errors"], p["n_silent"]) for p in points}
+        assert got == BLER_COUNTS

@@ -5,14 +5,18 @@ The scalar codecs (:class:`repro.coding.bch.BCH`,
 read path one 512-bit block at a time.  This module runs the same path
 over ``(n_blocks, ...)`` arrays in a handful of NumPy passes:
 
-- **Bit packing** — codewords become rows of ``uint64`` words
-  (:func:`pack_bits`), so a GF(2) matrix-vector product collapses to
-  ``popcount(word & mask) & 1`` per precomputed mask column.
+- **Byte-table remainders** — a word's remainder modulo the generator
+  polynomial is linear over GF(2): the XOR of the remainders its set
+  bits contribute.  Rows are packed eight bits to a byte
+  (``np.packbits``), and a ``(n_bytes, 256)`` table, built once per
+  code, holds the XOR for every value of every byte.  A batch of
+  remainders is then one gather and one ``bitwise_xor.reduce``, whatever
+  the batch size (:class:`_RemainderTable`).  The systematic check bits
+  are the remainder of the data alone, so encode and decode share it.
 - **Zero-syndrome dispatch** — a received word is error-free iff its
-  remainder modulo the generator polynomial is zero
-  (:meth:`repro.coding.bch.BCH.position_remainders`), and at datapath
-  CERs almost every block is clean.  The batch decoder computes all N
-  remainders with ``n_check`` masked popcounts and only touches the
+  remainder is zero (:meth:`repro.coding.bch.BCH.position_remainders`),
+  and at datapath CERs almost every block is clean.  The batch decoder
+  computes all N remainders in one table pass and only touches the
   (rare) nonzero rows again.
 - **t = 1 vectorized correction** — for BCH-1 the remainder *is* the
   syndrome ``S1 = alpha^deg`` of the single error, so a discrete-log
@@ -63,8 +67,6 @@ __all__ = [
     "BatchBCHResult",
     "BatchDecodedBlocks",
     "BatchThreeOnTwoCodec",
-    "pack_bits",
-    "unpack_bits",
 ]
 
 #: Salt for persistent BLER-MC cache keys (alongside the executor's
@@ -83,36 +85,68 @@ FAIL_HEC = 3  #: more INV pairs than spares (mark-and-spare exhausted)
 #: (~10 MB at 8192 rows) stay cache-resident.
 _DECODE_CHUNK = 8192
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack ``(n_rows, n_bits)`` 0/1 rows into ``(n_rows, n_words)`` uint64.
 
-    Rows are padded with zero bits up to a whole number of 64-bit words.
-    The word layout is an internal convention shared with the mask tables
-    (``np.packbits`` byte order viewed as native uint64); only bitwise
-    AND + popcount ever looks inside, so endianness cancels out.
+class _RemainderTable:
+    """GF(2) remainders of byte-packed rows: one gather, one XOR-reduce.
+
+    ``bit_remainders[i]`` is the remainder a set bit ``i`` of the row
+    layout contributes (``np.packbits`` order: bit ``i`` is the
+    most-significant-first bit ``i % 8`` of byte ``i // 8``).  Entry
+    ``[j, v]`` of the table is the XOR of the contributions of the set
+    bits of value ``v`` in byte ``j``, so a row's remainder is the XOR of
+    one entry per byte.  Remainders are held in 16-bit lanes: one lane
+    (a flat ``(n_bytes * 256,)`` uint16 table) for every ``t = 1`` code
+    here, more for wide ``t > 1`` codes.
     """
-    b = np.ascontiguousarray(bits, dtype=np.uint8)
-    if b.ndim != 2:
-        raise ValueError(f"expected a 2-D bit array, got shape {b.shape}")
-    n_words = -(-b.shape[1] // 64)
-    packed = np.packbits(b, axis=1)
-    if packed.shape[1] != 8 * n_words:
-        pad = np.zeros((b.shape[0], 8 * n_words - packed.shape[1]), dtype=np.uint8)
-        packed = np.concatenate([packed, pad], axis=1)
-    return packed.view(np.uint64)
 
+    def __init__(self, bit_remainders: np.ndarray, n_check: int):
+        self.n_check = n_check
+        n_bytes = -(-len(bit_remainders) // 8)
+        n_lanes = -(-n_check // 16)
+        shifts = 16 * np.arange(n_lanes, dtype=object)  # exact for Python ints
+        per_bit = np.zeros((8 * n_bytes, n_lanes), dtype=np.uint16)
+        per_bit[: len(bit_remainders)] = (
+            np.asarray(bit_remainders, dtype=object)[:, None] >> shifts
+        ) & 0xFFFF
+        per_bit = per_bit.reshape(n_bytes, 8, n_lanes)
+        table = np.zeros((n_bytes, 256, n_lanes), dtype=np.uint16)
+        for i in range(8):  # value bit 1 << i is packbits bit 7 - i
+            w = 1 << i
+            table[:, w : 2 * w] = table[:, :w] ^ per_bit[:, None, 7 - i]
+        table = table.reshape(n_bytes * 256, n_lanes)
+        self._table = table[:, 0].copy() if n_lanes == 1 else table
+        self._offsets = (256 * np.arange(n_bytes)).astype(
+            np.min_scalar_type(256 * n_bytes - 1)
+        )
+        # Check-bit array index c holds remainder bit n_check - 1 - c
+        # (the scalar encoder's ordering).
+        bit = np.arange(n_check - 1, -1, -1)
+        self._bit_lane = bit // 16
+        self._bit_shift = (bit % 16).astype(np.uint16)
 
-def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: ``(n_rows, n_bits)`` uint8 rows."""
-    w = np.ascontiguousarray(words, dtype=np.uint64)
-    return np.unpackbits(w.view(np.uint8), axis=1)[:, :n_bits]
+    def __call__(self, byte_rows: np.ndarray) -> np.ndarray:
+        """Remainders of ``(n_rows, n_cols)`` uint8 rows, as 16-bit lanes.
 
+        The rows hold the first ``n_cols`` bytes of the layout; bytes
+        past them count as zero.  Returns ``(n_rows,)`` for a one-lane
+        code, ``(n_rows, n_lanes)`` otherwise.
+        """
+        index = byte_rows + self._offsets[: byte_rows.shape[1]]
+        return np.bitwise_xor.reduce(np.take(self._table, index, axis=0), axis=1)
 
-def _masked_parity(packed: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """GF(2) dot product of every packed row with one packed mask row."""
-    return (
-        np.bitwise_count(packed & mask[None, :]).sum(axis=1, dtype=np.int64) & 1
-    )
+    def check_bits(self, rem: np.ndarray) -> np.ndarray:
+        """``(n_rows, n_check)`` uint8 remainder bits, check-bit ordered."""
+        lanes = rem.reshape(rem.shape[0], -1)
+        return ((lanes[:, self._bit_lane] >> self._bit_shift) & 1).astype(np.uint8)
+
+    def as_ints(self, rem: np.ndarray) -> np.ndarray:
+        """Remainders as integers (object dtype past 62 check bits)."""
+        lanes = rem.reshape(rem.shape[0], -1)
+        dtype: type | np.dtype = np.int64 if self.n_check < 63 else object
+        out = np.zeros(lanes.shape[0], dtype=dtype)
+        for lane in range(lanes.shape[1]):
+            out |= lanes[:, lane].astype(dtype) << (16 * lane)
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,23 +167,16 @@ class BatchBCHResult:
 class BatchBCH:
     """Vectorized encoder/decoder over a scalar :class:`BCH` code.
 
-    Precomputes one packed GF(2) mask per check bit from the code's
-    position-remainder table; encode and syndrome evaluation are then
-    ``n_check`` masked popcounts over the packed rows, independent of the
-    batch size's Python overhead.
+    Builds one byte-table remainder kernel over the codeword layout
+    from the code's position-remainder table; encode (the remainder of
+    the data prefix) and syndrome evaluation are then one table pass
+    over the packed rows, whatever the batch size.
     """
 
     def __init__(self, code: BCH):
         self.code = code
         remainders = code.position_remainders()
-        # Bit-column matrix: row b holds bit b of every position's
-        # remainder (the GF(2) check matrix in remainder form).
-        cols = (
-            (remainders[None, :] >> np.arange(code.n_check)[:, None]) & 1
-        ).astype(np.uint8)
-        self._syndrome_masks = pack_bits(cols)
-        self._encode_masks = pack_bits(cols[:, : code.k])
-        self._n_words = self._syndrome_masks.shape[1]
+        self._remainder = _RemainderTable(remainders, code.n_check)
         if code.t == 1:
             # For one error the remainder is S1 = alpha^deg itself, and
             # position i contributes remainder `remainders[i]`: invert
@@ -177,14 +204,10 @@ class BatchBCH:
         d = np.ascontiguousarray(data, dtype=np.uint8)
         if d.ndim != 2 or d.shape[1] != self.code.k:
             raise ValueError(f"expected (n_rows, {self.code.k}) bits, got {d.shape}")
-        packed = pack_bits(d)
-        nc = self.code.n_check
-        checks = np.zeros((d.shape[0], nc), dtype=np.uint8)
-        for b in range(nc):
-            # Remainder bit b lands at check-bit array index nc - 1 - b
-            # (the scalar encoder's ordering).
-            checks[:, nc - 1 - b] = _masked_parity(packed, self._encode_masks[b])
-        return checks
+        # Check positions follow the data, so packing the data alone
+        # leaves them (and the last byte's padding) zero.
+        rem = self._remainder(np.packbits(d, axis=1))
+        return self._remainder.check_bits(rem)
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Systematic batch encode: ``[data | check]`` rows."""
@@ -200,11 +223,7 @@ class BatchBCH:
         r = np.ascontiguousarray(received, dtype=np.uint8)
         if r.ndim != 2 or r.shape[1] != self.code.n:
             raise ValueError(f"expected (n_rows, {self.code.n}) bits, got {r.shape}")
-        packed = pack_bits(r)
-        rem = np.zeros(r.shape[0], dtype=np.int64)
-        for b in range(self.code.n_check):
-            rem |= _masked_parity(packed, self._syndrome_masks[b]) << b
-        return rem
+        return self._remainder.as_ints(self._remainder(np.packbits(r, axis=1)))
 
     def decode(self, received: np.ndarray) -> BatchBCHResult:
         """Batch bounded-distance decode; bit-identical to scalar loops.
@@ -280,23 +299,21 @@ class BatchThreeOnTwoCodec:
         cfg = codec.ms_config
         self._n_pairs = cfg.n_pairs
         self._padded_bits = cfg.n_data_pairs * BITS_PER_PAIR
-        # Split parity masks for the state-domain remainder: even codeword
-        # positions hold each cell's high TEC bit (1 iff S4), odd its low
-        # bit (1 iff >= S2).  Packing the two planes separately lets
-        # decode skip materializing the (n_blocks, 708) bit matrix.
+        # State-domain remainder layout: even TEC codeword positions hold
+        # each cell's high bit (1 iff S4), odd its low bit (1 iff >= S2).
+        # Byte rows are [high plane | low plane | check bits], each
+        # padded to whole bytes, so encode and decode pack the states
+        # directly and never build the (n_blocks, 708) TEC bit matrix.
         code = codec.tec
         remainders = code.position_remainders()
-        cols = (
-            (remainders[None, : code.k] >> np.arange(code.n_check)[:, None]) & 1
-        ).astype(np.uint8)
-        self._parity_masks = np.concatenate(
-            [pack_bits(cols[:, 0::2]), pack_bits(cols[:, 1::2])], axis=1
-        )
-        self._plane_words = self._parity_masks.shape[1] // 2
-        # Check positions sit below the generator's degree, so their
-        # remainder columns are exactly the powers of two: the check
-        # bits' remainder contribution is plain binary recomposition.
-        self._check_powers = 1 << np.arange(code.n_check - 1, -1, -1)
+        n_cells = codec.n_mlc_cells
+        self._plane_bytes = -(-n_cells // 8)
+        plane_bits = 8 * self._plane_bytes
+        per_bit = np.zeros(2 * plane_bits + code.n_check, dtype=remainders.dtype)
+        per_bit[:n_cells] = remainders[0 : code.k : 2]
+        per_bit[plane_bits : plane_bits + n_cells] = remainders[1 : code.k : 2]
+        per_bit[2 * plane_bits :] = remainders[code.k :]
+        self._remainder = _RemainderTable(per_bit, code.n_check)
 
     # ------------------------------------------------------------------
     def _marked_matrix(
@@ -379,25 +396,34 @@ class BatchThreeOnTwoCodec:
         states = np.empty((n_blocks, 2 * self._n_pairs), dtype=np.uint8)
         states[:, 0::2] = physical // 3
         states[:, 1::2] = physical % 3
-        tec_bits = self._tec_word(states, check_bits=None)
-        return states, self.bch.check_bits(tec_bits)
+        rem = self._remainder(self._byte_rows(states))
+        return states, self._remainder.check_bits(rem)
 
-    def _tec_word(
-        self, states: np.ndarray, check_bits: np.ndarray | None
+    def _byte_rows(
+        self, states: np.ndarray, check_bits: np.ndarray | None = None
     ) -> np.ndarray:
-        """TEC bit view of uint8 state rows (S1=00, S2=01, S4=11).
+        """Packed remainder-kernel rows of uint8 states (and check bits).
 
-        Strided comparisons instead of a table gather: fancy indexing
-        over tens of millions of cells is the batch layer's single
-        largest cost, a pair of boolean writes is ~10x cheaper.
+        Without ``check_bits`` the rows stop after the two state planes:
+        their remainder is the systematic check word (encode).
         """
+        pb = self._plane_bytes
+        n_cols = 2 * pb + (0 if check_bits is None else -(-check_bits.shape[1] // 8))
+        rows = np.empty((states.shape[0], n_cols), dtype=np.uint8)
+        rows[:, :pb] = np.packbits(states >> 1, axis=1)  # high bit: S4
+        rows[:, pb : 2 * pb] = np.packbits(states != 0, axis=1)  # low bit: S2|S4
+        if check_bits is not None:
+            rows[:, 2 * pb :] = np.packbits(check_bits, axis=1)
+        return rows
+
+    def _tec_word(self, states: np.ndarray, check_bits: np.ndarray) -> np.ndarray:
+        """TEC codeword view of uint8 state rows (S1=00, S2=01, S4=11)."""
         n_cells = states.shape[1]
-        n = 2 * n_cells + (0 if check_bits is None else check_bits.shape[1])
+        n = 2 * n_cells + check_bits.shape[1]
         word = np.empty((states.shape[0], n), dtype=np.uint8)
         word[:, 0 : 2 * n_cells : 2] = states == 2
         word[:, 1 : 2 * n_cells : 2] = states >= 1
-        if check_bits is not None:
-            word[:, 2 * n_cells :] = check_bits
+        word[:, 2 * n_cells :] = check_bits
         return word
 
     # ------------------------------------------------------------------
@@ -468,28 +494,13 @@ class BatchThreeOnTwoCodec:
 
         Stage 1 — transient error correction over the 2-bit cell view.
         The remainder alone classifies every row (zero-syndrome
-        dispatch) and is computed from two packed bit planes of the
-        states, never materializing the (n_blocks, 708) codeword
+        dispatch) and is one table pass over the packed state planes and
+        check bits, never materializing the (n_blocks, 708) codeword
         matrix; pair values are read straight off the *received*
         states and only nonzero-remainder rows are patched afterwards.
         """
         codec = self.codec
-        n_blocks = s.shape[0]
-        code = self.bch.code
-        plane_bytes = -(-codec.n_mlc_cells // 8)
-        buf = np.zeros((n_blocks, 16 * self._plane_words), dtype=np.uint8)
-        buf[:, :plane_bytes] = np.packbits(s >> 1, axis=1)  # high bit: S4
-        buf[:, 8 * self._plane_words : 8 * self._plane_words + plane_bytes] = (
-            np.packbits(s != 0, axis=1)  # low bit: S2 or S4
-        )
-        packed = buf.view(np.uint64)
-        rem = checks.astype(np.int64) @ self._check_powers
-        and_buf = np.empty_like(packed)
-        for b in range(code.n_check):
-            np.bitwise_and(packed, self._parity_masks[b][None, :], out=and_buf)
-            rem ^= (
-                np.bitwise_count(and_buf).sum(axis=1, dtype=np.int64) & 1
-            ) << b
+        rem = self._remainder(self._byte_rows(s, checks))
         pair_values = s[:, 0::2] * 3 + s[:, 1::2]
         dirty = np.nonzero(rem)[0]
         if dirty.size:

@@ -160,8 +160,11 @@ class JobManager:
         with self._lock:
             job = _Job(f"job-{next(self._ids):04d}", kind, clean)
             self._jobs[job.job_id] = job
+            # Describe before handing over: a fast job could otherwise
+            # already read "done" in its own ACCEPTED reply.
+            accepted = {"code": "ACCEPTED", **job.describe()}
             job.future = self._pool.submit(self._run, job)
-        return {"code": "ACCEPTED", **job.describe()}
+        return accepted
 
     def get(self, job_id: str) -> dict:
         with self._lock:

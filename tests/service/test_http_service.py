@@ -8,6 +8,7 @@ twin :class:`VirtualDevice` driven directly through the batch kernels.
 """
 
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.service.batching import IoOp, execute_batch
 from repro.service.client import ServiceClient, ServiceResponseError
 from repro.service.codes import CODES
 from repro.service.device import VirtualDevice
+from repro.service.jobs import JobManager
 from repro.service.wire import bits_to_hex
 
 
@@ -217,6 +219,27 @@ class TestJobs:
         assert point["cer"] == 1e-3
         assert point["n_blocks"] == 200
         assert 0.0 <= point["bler"] <= 1.0
+
+    def test_accepted_reply_precedes_the_run(self, tmp_path):
+        """A job that finishes inside ``submit`` still reports ``queued``."""
+
+        class InlinePool:  # the fastest possible worker: runs on submit
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True):
+                pass
+
+        manager = JobManager(tmp_path)
+        manager._pool.shutdown()
+        manager._pool = InlinePool()
+        accepted = manager.submit("bler", {"cers": [1e-3], "n_blocks": 20, "seed": 1})
+        assert accepted["code"] == "ACCEPTED"
+        assert accepted["state"] == "queued"
+        assert "result" not in accepted
+        assert manager.get(accepted["job_id"])["state"] == "done"
 
     def test_job_listing(self, client):
         accepted = client.submit_job("bler", cers=[1e-3], n_blocks=50, seed=2)

@@ -9,12 +9,37 @@ refreshed from the artifacts.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import resource
+import subprocess
 import sys
 from typing import Iterable, Sequence
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS_DIR = ROOT / "results"
+
+
+def _git(*args: str) -> str:
+    try:
+        out = subprocess.run(
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return ""
+    return out.stdout.strip()
+
+
+def provenance() -> dict:
+    """Where a result was measured: source commit, core count, numpy."""
+    import numpy as np
+
+    return {
+        "git_sha": _git("rev-parse", "HEAD") or None,
+        "src_dirty": bool(_git("status", "--porcelain", "--", "src")),
+        "cpu_count": os.cpu_count() or 1,
+        "numpy": np.__version__,
+    }
 
 
 def peak_rss_bytes() -> int:

@@ -509,15 +509,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_workers=args.job_workers,
         work_dir=args.work_dir,
     )
-    if args.asgi:
-        from repro.service.asgi import serve_asgi
-
-        try:
-            serve_asgi(ServiceApp(config), args.host, args.port)
-        except RuntimeError as exc:
-            raise SystemExit(str(exc))
-        return 0
-
     import asyncio
     import signal
 
@@ -826,11 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--work-dir", default=None,
         help="campaign job run directories (default: a temp dir)",
-    )
-    v.add_argument(
-        "--asgi", action="store_true",
-        help="serve under uvicorn instead of the stdlib server "
-        "(requires: pip install 'repro[service]')",
     )
     v.set_defaults(func=_cmd_serve)
     return p

@@ -42,6 +42,7 @@ records the scalar-vs-batch throughput in ``results/BENCH_datapath.json``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +68,7 @@ __all__ = [
     "BatchBCHResult",
     "BatchDecodedBlocks",
     "BatchThreeOnTwoCodec",
+    "shared_codec",
 ]
 
 #: Salt for persistent BLER-MC cache keys (alongside the executor's
@@ -574,3 +576,20 @@ class BatchThreeOnTwoCodec:
                 pair_values[i] = (
                     3 * row_states[0::2] + row_states[1::2]
                 ).astype(np.uint8)
+
+
+def shared_codec(data_bits: int = 512, n_spare_pairs: int = 6) -> BatchThreeOnTwoCodec:
+    """The process-wide batch codec of one block geometry.
+
+    Building a codec precomputes its byte tables and discrete-log
+    locator; the fleet engine, the BLER engine and every service device
+    of one geometry share the instance.
+    """
+    return _codec_of(int(data_bits), int(n_spare_pairs))
+
+
+@functools.lru_cache(maxsize=8)
+def _codec_of(data_bits: int, n_spare_pairs: int) -> BatchThreeOnTwoCodec:
+    return BatchThreeOnTwoCodec(
+        ThreeOnTwoBlockCodec(data_bits=data_bits, n_spare_pairs=n_spare_pairs)
+    )

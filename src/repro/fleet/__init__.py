@@ -1,11 +1,11 @@
 """Fleet-scale device population simulation (docs/FLEET.md).
 
-Draws a heterogeneous population of :class:`~repro.core.device.PCMDevice`
-instances (per-device drift/endurance/temperature/workload), advances
-them through epochs of demand writes and scrub-refresh maintenance with
-the batched datapath kernels, and reduces the population to lifetime
-percentiles, spare-exhaustion hazard curves, refresh-energy totals, and
-silent-error rates.
+Draws a heterogeneous population of 3LC PCM devices (per-device
+drift/endurance/temperature/workload), advances them through epochs of
+demand writes and scrub-refresh maintenance with the structure-of-arrays
+write-and-verify kernel and the batched datapath codec, and reduces the
+population to lifetime percentiles, spare-exhaustion hazard curves,
+refresh-energy totals, and silent-error rates.
 """
 
 from repro.fleet.config import (
@@ -18,13 +18,11 @@ from repro.fleet.config import (
 )
 from repro.fleet.engine import (
     COUNTERS,
-    FLEET_ENGINE_ENV,
     FLEET_VERSION,
     N_COUNTERS,
     PROGRAM_NJ_PER_CELL,
     SENSE_NJ_PER_CELL,
     FleetEngine,
-    ObjectFleetEngine,
     counter_index,
 )
 from repro.fleet.mc import (
@@ -33,12 +31,11 @@ from repro.fleet.mc import (
     fleet_counts_key,
     fleet_mc,
 )
-from repro.fleet.soa import SoaFleetEngine
+from repro.fleet.soa import SoaFleetEngine, WaveKernel
 from repro.fleet.state import SoaFleetState, alive_indices
 
 __all__ = [
     "COUNTERS",
-    "FLEET_ENGINE_ENV",
     "FLEET_SHARD_DEVICES",
     "FLEET_SPAWN_KEY",
     "FLEET_VERSION",
@@ -49,9 +46,9 @@ __all__ = [
     "FleetConfig",
     "FleetEngine",
     "FleetSummary",
-    "ObjectFleetEngine",
     "SoaFleetEngine",
     "SoaFleetState",
+    "WaveKernel",
     "alive_indices",
     "config_from_params",
     "counter_index",

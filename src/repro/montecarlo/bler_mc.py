@@ -43,7 +43,6 @@ to injecting into and decoding every block.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
@@ -51,8 +50,7 @@ import numpy as np
 
 from repro.analysis.bler import binom_confidence
 from repro.chaos.registry import fault_point
-from repro.coding.batch import BatchThreeOnTwoCodec
-from repro.coding.blockcodec import ThreeOnTwoBlockCodec
+from repro.coding.batch import shared_codec
 from repro.montecarlo.executor import RNG_BLOCK, plan_blocks, resolve_jobs
 from repro.montecarlo.results_cache import ResultsCache, bler_counts_key
 from repro.montecarlo.rng import block_rng, seed_entropy
@@ -81,16 +79,6 @@ ERR_STATE = np.array([1, 2, 1], dtype=np.uint8)
 ERR_STATE.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=8)
-def _batch_codec(data_bits: int, n_spare_pairs: int) -> BatchThreeOnTwoCodec:
-    # Cached per geometry: building the codec precomputes packed GF(2)
-    # check-matrix masks and the discrete-log locator, which every task
-    # in a pool worker reuses.
-    return BatchThreeOnTwoCodec(
-        ThreeOnTwoBlockCodec(data_bits=data_bits, n_spare_pairs=n_spare_pairs)
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class _BlerTask:
     """One picklable unit of work: a run of RNG blocks, all missing CERs."""
@@ -113,7 +101,7 @@ def _eval_bler_task(task: _BlerTask) -> np.ndarray:
     each CER decodes only the rows it puts an error into.
     """
     fault_point("executor.task", item=task.item, first_block=task.first_block)
-    bc = _batch_codec(task.data_bits, task.n_spare_pairs)
+    bc = shared_codec(task.data_bits, task.n_spare_pairs)
     n_cells = bc.codec.n_mlc_cells
     counts = np.zeros((len(task.cers), 2), dtype=np.int64)
     for offset, size in enumerate(task.sizes):

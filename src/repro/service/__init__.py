@@ -9,18 +9,18 @@ and whose **mark-and-spare wear accumulates across requests**, plus the
 machinery to take those requests concurrently:
 
 - :mod:`repro.service.device` — the virtual-time device engine: a
-  registry of simulated PCM devices, each a vectorized drifting cell
-  array with per-write counter-based RNG (every write draws from a
-  ``SeedSequence`` addressed by ``(device seed, block, epoch)``, so
-  results are independent of request interleaving);
+  registry of simulated PCM devices, each a one-device population of
+  the fleet's write-and-verify kernel (:class:`repro.fleet.soa.WaveKernel`)
+  with per-write RNG (every write draws from a ``SeedSequence``
+  addressed by ``(device seed, block, epoch)``, so results are
+  independent of request interleaving);
 - :mod:`repro.service.batching` — the dynamic batching queue: concurrent
   read/write requests coalesce into single
   :class:`~repro.coding.batch.BatchThreeOnTwoCodec` calls, flushed by
   size or deadline under an injectable clock, provably bit-identical to
   sequential execution;
 - :mod:`repro.service.http` — a dependency-free asyncio HTTP/1.1 server
-  (keep-alive, routing, JSON bodies); the optional ``repro[service]``
-  extra swaps in a production ASGI stack (:mod:`repro.service.asgi`);
+  (keep-alive, routing, JSON bodies);
 - :mod:`repro.service.app` — the endpoint layer: device CRUD, block
   read/write, virtual-clock control, campaign/BLER job submission and
   polling, ``/metrics``;

@@ -36,7 +36,7 @@ import threading
 from repro.cells.faults import WearoutModel
 from repro.service.batching import BatchQueue, DynamicBatcher, IoOp
 from repro.service.codes import CODES, ServiceError
-from repro.service.device import DeviceRegistry
+from repro.service.device import DEVICE_VERSION, DeviceRegistry
 from repro.service.http import HttpServer, Router
 from repro.service.jobs import JobManager
 from repro.service.telemetry import Telemetry
@@ -265,7 +265,12 @@ class ServiceApp:
     async def _digest(self, params: dict, body: object) -> tuple[int, dict]:
         device = self.registry.get(params["device_id"])
         digest = await self.batcher.run_serialized(device.state_digest)
-        return 200, {"code": "OK", "device": device.device_id, "digest": digest}
+        return 200, {
+            "code": "OK",
+            "device": device.device_id,
+            "digest": digest,
+            "device_version": DEVICE_VERSION,
+        }
 
     # -- block I/O (the batched hot path) ------------------------------
     async def _write_block(self, params: dict, body: object) -> tuple[int, dict]:

@@ -14,9 +14,9 @@ The layering is sans-io:
   device engine, coalescing reads into a single
   :meth:`~repro.coding.batch.BatchThreeOnTwoCodec.decode` per block
   geometry; writes run one op at a time through
-  :meth:`~repro.service.device.VirtualDevice.write_block` (each program
-  attempt encodes its own single row), in waves that keep same-block
-  writes in queue order;
+  :meth:`~repro.service.device.VirtualDevice.write_block` (one
+  single-row run of the fleet's write-and-verify kernel), in waves that
+  keep same-block writes in queue order;
 - :class:`DynamicBatcher` — the asyncio front: wakes on size or
   deadline, executes batches on a single worker thread (which also
   serializes every other touch of engine state), resolves futures.
@@ -266,9 +266,10 @@ def _execute_writes(ops: list[IoOp]) -> None:
     one left behind — exactly as sequential execution would.
 
     Every op runs :func:`_write_one`, i.e.
-    :meth:`VirtualDevice.write_block`, which encodes its own row (one
-    single-row :meth:`BatchThreeOnTwoCodec.encode` per program attempt,
-    retries included).  Encodes are not batched across a wave.
+    :meth:`VirtualDevice.write_block`, which runs the write-and-verify
+    kernel on its own row (one single-row
+    :meth:`BatchThreeOnTwoCodec.encode` per write, plus one per retry).
+    Writes are not batched across a wave.
     """
     waves: list[list[IoOp]] = []
     seen_in_wave: list[set[tuple[str, int]]] = []

@@ -7,11 +7,7 @@ hard size limits, ``Content-Length`` bodies, keep-alive, and JSON
 responses.  It is deliberately not a framework — routes are template
 paths (``/v1/devices/{device_id}``) bound to async handlers returning
 ``(status, payload)``, and everything else (devices, batching, jobs)
-lives in :mod:`repro.service.app`.
-
-Production deployments that want a real ASGI stack can mount
-:func:`repro.service.asgi.create_asgi_app` under uvicorn instead; this
-server exists so tests, CI, and the default CLI path need nothing.
+lives in :mod:`repro.service.app`.  It is the service's only server.
 """
 
 from __future__ import annotations

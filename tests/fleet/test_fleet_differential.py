@@ -19,9 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.device import PCMDevice, SpareExhausted, UncorrectableBlock
 from repro.fleet import (
-    FLEET_SPAWN_KEY,
     FleetConfig,
     FleetEngine,
     counter_index,
@@ -29,82 +27,12 @@ from repro.fleet import (
     fleet_mc,
     stress_config,
 )
-from repro.fleet.config import KEY_DATA, KEY_DEVICE
-from repro.montecarlo.rng import block_rng, seed_entropy
-from repro.workloads.synthetic import draw_ops
+from repro.montecarlo.rng import seed_entropy
+from tests.fleet.reference import drive_single
 
 #: Wear-accelerated so the differential exercises marks, retries, the
 #: stale-row fallback, and spare-exhaustion death — not just clean writes.
 STRESS = stress_config(n_devices=8, n_epochs=6)
-
-
-def drive_single(config, entropy, index):
-    """Sequential single-device reference for fleet device ``index``.
-
-    Reproduces the fleet's epoch schedule (demand writes at ``t0``, a
-    scrub read + refresh of every written block at ``t1``) using only
-    ``PCMDevice.write``/``read`` — the pre-fleet scalar path.
-    """
-    p = device_params(config, entropy, index)
-    dev = PCMDevice(
-        n_blocks=config.n_blocks,
-        cell_kind="3LC",
-        design=p.design,
-        seed=block_rng(entropy, (FLEET_SPAWN_KEY, KEY_DEVICE, index)),
-        wearout=p.wearout,
-        schedule=p.schedule,
-        data_bits=config.data_bits,
-    )
-    g = block_rng(entropy, (FLEET_SPAWN_KEY, KEY_DATA, index))
-    stored = {}
-    alive = True
-    counts = dict(reads_requested=0, uncorrectable=0, silent=0, deaths=0)
-    for e in range(config.n_epochs):
-        if not alive:
-            break
-        t0 = e * config.epoch_seconds
-        t1 = t0 + config.epoch_seconds
-        is_write, addr = draw_ops(
-            p.workload,
-            config.ops_per_epoch,
-            config.n_blocks,
-            seed=g,
-            write_fraction=config.write_fraction,
-        )
-        ops = []
-        for w, b in zip(is_write, addr):
-            if w:
-                ops.append((int(b), g.integers(0, 2, config.data_bits, dtype=np.uint8)))
-            else:
-                counts["reads_requested"] += 1
-        for b, bits in ops:
-            try:
-                dev.write(b, bits, t0)
-            except SpareExhausted:
-                alive = False
-                counts["deaths"] += 1
-                break
-            stored[b] = bits.copy()
-        if not alive:
-            break
-        for b in np.nonzero(dev.written_mask())[0]:
-            b = int(b)
-            try:
-                out = dev.read(b, t1)
-            except UncorrectableBlock:
-                counts["uncorrectable"] += 1
-                continue
-            data = out.data_bits
-            if not np.array_equal(data, stored[b]):
-                counts["silent"] += 1
-            try:
-                dev.write(b, data, t1)
-            except SpareExhausted:
-                alive = False
-                counts["deaths"] += 1
-                break
-            stored[b] = data.copy()
-    return dev, stored, counts, alive
 
 
 class TestSingleDeviceDifferential:
@@ -113,15 +41,14 @@ class TestSingleDeviceDifferential:
     @pytest.mark.parametrize("index", range(STRESS.n_devices))
     def test_bit_identical_stress(self, index):
         entropy = seed_entropy(42)
-        ref_dev, _stored, ref_counts, ref_alive = drive_single(STRESS, entropy, index)
+        ref_dev, ref_counts, ref_alive = drive_single(STRESS, entropy, index)
 
         engine = FleetEngine(STRESS, entropy, first_device=index, n_devices=1)
-        counts = engine.advance(STRESS.n_epochs).sum(axis=0)
+        counts = engine.advance(STRESS.n_epochs)
 
         assert engine.device(index).state_digest() == ref_dev.state_digest()
         assert engine.device(index).stats == ref_dev.stats
-        for name, want in ref_counts.items():
-            assert counts[counter_index(name)] == want, name
+        assert (counts == ref_counts).all()
         assert bool(engine.alive_mask()[0]) == ref_alive
 
     def test_bit_identical_default_config(self):
@@ -129,15 +56,14 @@ class TestSingleDeviceDifferential:
         config = FleetConfig(n_devices=3, n_epochs=4)
         entropy = seed_entropy(7)
         for index in range(config.n_devices):
-            ref_dev, _stored, ref_counts, ref_alive = drive_single(
-                config, entropy, index
-            )
+            ref_dev, ref_counts, ref_alive = drive_single(config, entropy, index)
             engine = FleetEngine(config, entropy, first_device=index, n_devices=1)
-            counts = engine.advance(config.n_epochs).sum(axis=0)
+            counts = engine.advance(config.n_epochs)
             assert engine.device(index).state_digest() == ref_dev.state_digest()
             assert engine.device(index).stats == ref_dev.stats
+            assert (counts == ref_counts).all()
             assert ref_alive and bool(engine.alive_mask()[0])
-            assert counts[counter_index("deaths")] == 0
+            assert counts[:, counter_index("deaths")].sum() == 0
 
     def test_stress_config_exercises_failure_paths(self):
         """The differential above is only meaningful if the stress fleet

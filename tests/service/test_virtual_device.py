@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.cells.faults import WearoutModel
+from repro.cells.faults import FaultMode, WearoutModel
+from repro.coding.blockcodec import ThreeOnTwoBlockCodec
+from repro.core.designs import three_level_optimal
+from repro.core.device import PCMDevice
+from repro.montecarlo.rng import block_rng
 from repro.service.codes import ServiceError
-from repro.service.device import DeviceRegistry, VirtualDevice
+from repro.service.device import (
+    DEVICE_VERSION,
+    SERVICE_SPAWN_KEY,
+    DeviceRegistry,
+    VirtualDevice,
+)
 from repro.wearout.mark_and_spare import SpareExhausted
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
@@ -156,6 +165,98 @@ class TestWearout:
             out = dev.write_block(0, _payload(i), t=0.0)
             assert out["marked_pairs"] == 0
             assert out["retries"] == 0
+
+
+class TestPCMDeviceOracle:
+    """The service device against the sequential PCMDevice reference.
+
+    A :class:`PCMDevice` given the service's endurance budgets and
+    failure modes, and switched to the service's per-write stream before
+    each write, must end every write in the same analog state: equal
+    drifted resistances (now and a year on), stats, marks, and the same
+    writes running out of spares.  Both models wear out within the run.
+    """
+
+    MODELS = {
+        # Every failure is stuck-reset; nothing to revive.
+        "stuck_reset": WearoutModel(
+            mean_endurance=40.0, endurance_sigma=0.25, p_stuck_reset=1.0, p_revive=0.0
+        ),
+        # Mostly stuck-set, and revival succeeds half the time.
+        "stuck_set": WearoutModel(
+            mean_endurance=40.0, endurance_sigma=0.25, p_stuck_reset=0.2, p_revive=0.5
+        ),
+    }
+    SEED = 21
+    N_BLOCKS = 2
+    N_WRITES = 120
+
+    def _oracle(self, wearout: WearoutModel, n_spare_pairs: int) -> PCMDevice:
+        dev = PCMDevice(
+            self.N_BLOCKS,
+            design=three_level_optimal(),
+            wearout=wearout,
+            codec=ThreeOnTwoBlockCodec(n_spare_pairs=n_spare_pairs),
+        )
+        n = dev.array.n
+        dev.array._endurance = wearout.sample_endurance(
+            block_rng(self.SEED, (SERVICE_SPAWN_KEY, 0)), n
+        )
+        dev.array._pending_mode = wearout.sample_modes(
+            block_rng(self.SEED, (SERVICE_SPAWN_KEY, 1)), n
+        )
+        return dev
+
+    @pytest.mark.parametrize("n_spare_pairs", [0, 6])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_matches_pcm_device(self, model, n_spare_pairs):
+        wearout = self.MODELS[model]
+        dev = VirtualDevice(
+            "dev", self.SEED, self.N_BLOCKS, n_spare_pairs=n_spare_pairs, wearout=wearout
+        )
+        ref = self._oracle(wearout, n_spare_pairs)
+        rng = np.random.default_rng(5)
+        epochs = [0] * self.N_BLOCKS
+        exhausted_dev, exhausted_ref = [], []
+        for i in range(self.N_WRITES):
+            block = int(rng.integers(self.N_BLOCKS))
+            bits = rng.integers(0, 2, 512, dtype=np.uint8)
+            t = 100.0 * i
+            ref.array.rng = block_rng(
+                self.SEED, (SERVICE_SPAWN_KEY, 2, block, epochs[block])
+            )
+            epochs[block] += 1
+            try:
+                dev.write_block(block, bits, t)
+            except SpareExhausted:
+                exhausted_dev.append(i)
+            try:
+                ref.write(block, bits, t)
+            except SpareExhausted:
+                exhausted_ref.append(i)
+            marks = dev.describe()["wear"]["marked_pairs_total"]
+            assert marks == sum(ref.block_state(b).n_marked for b in range(self.N_BLOCKS))
+            cells = np.arange(block * ref.cells_per_block, (block + 1) * ref.cells_per_block)
+            for when in (t, t + SECONDS_PER_YEAR):
+                got = dev.drifted_lr(np.array([block]), np.array([when]))[0]
+                assert np.array_equal(got, ref.array.log_resistance(when, cells)), (i, when)
+        assert exhausted_dev == exhausted_ref
+        assert exhausted_dev, "the run never exhausted a block's spares"
+        assert dev.stats.writes == ref.stats.writes
+        assert dev.stats.write_retries == ref.stats.write_retries
+        assert dev.stats.wearout_marks == ref.stats.wearout_marks
+        assert dev.describe()["wear"]["stuck_cells"] == int(ref.array.stuck_mask().sum())
+        if n_spare_pairs:
+            assert dev.stats.wearout_marks > 0
+        if wearout.p_revive and n_spare_pairs:
+            revived = (ref.array.fault_modes == FaultMode.STUCK_RESET.value) & (
+                ref.array._pending_mode == FaultMode.STUCK_SET.value
+            )
+            assert revived.any(), "no stuck-set cell was revived"
+
+    def test_version_reported(self):
+        dev = VirtualDevice("dev", 0, 1)
+        assert dev.describe()["device_version"] == DEVICE_VERSION
 
 
 class TestValidation:

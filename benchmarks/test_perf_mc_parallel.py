@@ -8,12 +8,11 @@ statistical agreement), and records the comparison in
 machines with at least 4 cores; single-core runners still exercise the
 pool path and the identity check.
 
-Caveat: the committed JSON was recorded on a **cpu_count=1** box, where
-the pool adds pure overhead (speedup <= 1) — it documents the identity
-guarantee and the fused executor's serial timings, not a parallel win.
-PR 6 moved the real speed to the batched analytic path
-(``results/BENCH_cer_core.json``); the process pool remains for
-multi-core machines.
+Caveat: the committed JSON was recorded on a 2-core box, where a
+4e6-cell run (~0.3 s serial) is too short to pay for the pool's start-up
+(speedup < 1); it documents the identity guarantee, not a parallel win.
+The batched analytic path (``results/BENCH_cer_core.json``) is where
+the CER speed lives.
 """
 
 import os
@@ -21,7 +20,7 @@ import time
 
 import numpy as np
 
-from _report import emit_json
+from _report import emit_json, provenance
 from repro.core.designs import four_level_naive
 from repro.montecarlo.cer import design_cer
 from repro.montecarlo.sweep import PAPER_TIME_GRID_S
@@ -55,9 +54,10 @@ def test_mc_parallel_identical_and_fast():
         "BENCH_mc",
         {
             "benchmark": "design_cer 4LCn, 9-point paper grid",
+            **provenance(),
             "n_samples": N_SAMPLES,
             "chunk": CHUNK,
-            "cpu_count": jobs,
+            "jobs": jobs,
             "serial_s": round(t_serial, 4),
             "parallel_s": round(t_parallel, 4),
             "speedup": round(speedup, 3),

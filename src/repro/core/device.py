@@ -58,8 +58,8 @@ def device_state_digest(
     ``cell_digest`` is the :meth:`CellArray.state_digest` hex string,
     ``block_payloads`` the per-block wearout-layout bytes (marked mask
     for 3LC mark-and-spare, ``repr`` of the entry table for 4LC ECP).
-    The byte stream is frozen so the object engine and the
-    structure-of-arrays fleet engine hash identically.
+    The byte stream is frozen so a device and its structure-of-arrays
+    twin in :class:`repro.fleet.soa.WaveKernel` hash identically.
     """
     h = hashlib.sha256()
     h.update(cell_digest.encode("ascii"))

@@ -6,10 +6,11 @@ arrays with the device as the leading axis: per-cell physics as
 ``(n, n_blocks * cells_per_block)``, per-block controller state as
 ``(n, n_blocks, ...)``.  Dtypes mirror :class:`~repro.cells.cell_array.CellArray`
 field-for-field — the canonical digests hash raw bytes, so an ``int8``
-where the object engine keeps ``int64`` would already break the
+where ``CellArray`` keeps ``int64`` would already break the
 bit-identity contract.
 
-The container is deliberately dumb: all epoch semantics live in
+The container is deliberately dumb: the write physics lives in
+:class:`repro.fleet.soa.WaveKernel`, the epoch semantics in
 :class:`repro.fleet.soa.SoaFleetEngine`.
 """
 
@@ -23,9 +24,9 @@ __all__ = ["SoaFleetState", "alive_indices"]
 def alive_indices(mask: np.ndarray) -> np.ndarray:
     """Indices of set entries of a boolean mask, ascending.
 
-    The one helper both fleet engines (and the summary layer) use to
-    turn an alive/survivor mask into an iteration order, instead of
-    per-call Python list comprehensions over ``range(n)``.
+    How the fleet engine turns an alive/survivor mask into an iteration
+    order, instead of per-call Python list comprehensions over
+    ``range(n)``.
     """
     return np.flatnonzero(mask)
 
@@ -68,7 +69,8 @@ class SoaFleetState:
         self.has_stored = np.zeros((n, n_blocks), dtype=bool)
 
         # Per-device cumulative stats (DeviceStats columns; ``refreshes``
-        # stays zero in the fleet path, same as the object engine).
+        # stays zero: the fleet counts a refresh as a write, like its
+        # sequential reference).
         self.st_writes = np.zeros(n, dtype=np.int64)
         self.st_reads = np.zeros(n, dtype=np.int64)
         self.st_tec = np.zeros(n, dtype=np.int64)

@@ -3,10 +3,11 @@
 Boots the full service in-process (stdlib HTTP server, dynamic batcher,
 virtual-time devices), runs the synthetic-client load harness against
 it, and emits ``results/BENCH_service.json``: requests/s, blocks/s,
-p50/p99 latency per endpoint, the dynamic-batching histogram, and the
-differential verdict — HTTP responses and final device state digest must
-be bit-identical to driving a twin :class:`VirtualDevice` directly
-through the batch kernels.
+p50/p99 latency per endpoint, the dynamic-batching histogram, the
+provenance (commit, cores, numpy), and the differential verdict — HTTP
+responses and final device state digest must be bit-identical to
+driving a twin :class:`VirtualDevice` directly through the batch
+kernels.
 
 Env knobs for slower machines: ``REPRO_SERVICE_CLIENTS`` (default 8),
 ``REPRO_SERVICE_BLOCKS`` (blocks per client, default 16),
@@ -17,7 +18,7 @@ import os
 
 import numpy as np
 
-from _report import emit_json
+from _report import emit_json, provenance
 from repro.service.app import ServiceConfig, ServiceRunner
 from repro.service.batching import IoOp, execute_batch
 from repro.service.client import ServiceClient
@@ -76,9 +77,7 @@ def _differential_verdict(base_url: str, seed: int = 20130901) -> dict:
 
 
 def test_service_throughput_and_bit_identity():
-    runner = ServiceRunner(
-        ServiceConfig(port=0, batch_max=64, batch_deadline_ms=2.0)
-    )
+    runner = ServiceRunner(ServiceConfig(port=0, batch_max=64))
     runner.start()
     try:
         load = run_load(
@@ -99,9 +98,11 @@ def test_service_throughput_and_bit_identity():
     assert load["payload_mismatches"] == 0
     assert differential["responses_identical"]
     assert differential["digest_identical"]
-    # Dynamic batching must actually coalesce under concurrent load.
-    hist = load["batching"]["batch_size_hist"]
-    assert sum(int(n) * c for n, c in hist.items()) >= load["requests_total"]
+    # Exact accounting: every request was queued once and executed once.
+    batching = load["batching"]
+    executed = sum(int(n) * c for n, c in batching["batch_size_hist"].items())
+    assert batching["rejected"] == 0
+    assert batching["submitted"] == executed == load["requests_total"]
 
     latency_endpoints = {
         name: stats
@@ -111,6 +112,7 @@ def test_service_throughput_and_bit_identity():
     emit_json(
         "BENCH_service",
         {
+            **provenance(),
             "load": load,
             "differential": differential,
             "http_block_endpoints": latency_endpoints,

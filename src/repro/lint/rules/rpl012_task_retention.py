@@ -5,8 +5,8 @@ Python keeps only a *weak* reference to running tasks, so a dropped
 handle can be garbage-collected mid-flight and the work simply stops.
 And when the task raises, nobody awaits the exception: it surfaces (if
 ever) as a destructor warning long after the cause, which in this
-service means a dead flush loop that looks like mysteriously growing
-tail latency rather than a traceback.
+service means a dead background task that looks like mysteriously
+growing tail latency rather than a traceback.
 
 The rule flags ``asyncio.create_task`` / ``asyncio.ensure_future`` /
 ``<loop>.create_task`` whose result is used as a bare expression

@@ -1,15 +1,17 @@
 """Dynamic batching: coalesce concurrent I/O into the batch kernels.
 
 The hot path of the service.  Concurrent block read/write requests land
-in a :class:`BatchQueue` and are flushed as one batch when either the
-size threshold fills or the oldest request's deadline expires — the
-classic dynamic-batching tradeoff (throughput vs tail latency) under an
-injectable clock so the policy is unit-testable without sleeping.
+in a :class:`BatchQueue` and are dispatched *when the engine is free*
+("continuous" batching): at most one batch is in flight on the single
+engine thread; an op submitted to an idle engine goes out at once, and
+when a batch completes, everything that queued up meanwhile (up to
+``max_batch``) goes out as the next batch.  Batches therefore grow with
+load on their own, and an idle engine never waits on a timer.
 
 The layering is sans-io:
 
-- :class:`BatchQueue` — pure data structure: submit / readiness /
-  take-batch, no asyncio, clock injected as a callable;
+- :class:`BatchQueue` — pure data structure: submit / take-batch with a
+  size cap and a depth limit, no asyncio;
 - :func:`execute_batch` — runs one batch of :class:`IoOp` against the
   device engine, coalescing reads into a single
   :meth:`~repro.coding.batch.BatchThreeOnTwoCodec.decode` per block
@@ -17,9 +19,10 @@ The layering is sans-io:
   :meth:`~repro.service.device.VirtualDevice.write_block` (one
   single-row run of the fleet's write-and-verify kernel), in waves that
   keep same-block writes in queue order;
-- :class:`DynamicBatcher` — the asyncio front: wakes on size or
-  deadline, executes batches on a single worker thread (which also
-  serializes every other touch of engine state), resolves futures.
+- :class:`DynamicBatcher` — the asyncio front: dispatches a batch on
+  submission to an idle engine and from each batch's completion,
+  executes batches on a single worker thread (which also serializes
+  every other touch of engine state), resolves futures.
 
 **Bit-identity.**  ``execute_batch(ops)`` produces exactly the
 responses and device state of executing the same ops one at a time in
@@ -34,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
-import time
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
@@ -74,12 +77,18 @@ class IoOp:
 
 @dataclasses.dataclass
 class BatchStats:
-    """Counters exported on ``/metrics``."""
+    """Counters exported on ``/metrics``.
+
+    Flush reasons: ``size`` (a full ``max_batch``), ``idle`` (a partial
+    batch, taken because the engine was free) and ``drain`` (taken
+    while closing).  ``deadline`` is always 0: there is no flush timer,
+    and the key stays so readers of the older schema keep working.
+    """
 
     submitted: int = 0
     rejected: int = 0
     flushes_size: int = 0
-    flushes_deadline: int = 0
+    flushes_idle: int = 0
     flushes_drain: int = 0
     batch_size_hist: collections.Counter = dataclasses.field(
         default_factory=collections.Counter
@@ -92,7 +101,8 @@ class BatchStats:
             "rejected": self.rejected,
             "flushes": {
                 "size": self.flushes_size,
-                "deadline": self.flushes_deadline,
+                "idle": self.flushes_idle,
+                "deadline": 0,
                 "drain": self.flushes_drain,
             },
             "batch_size_hist": {str(s): self.batch_size_hist[s] for s in sizes},
@@ -100,28 +110,17 @@ class BatchStats:
 
 
 class BatchQueue:
-    """FIFO of pending ops with size/deadline flush policy (sans-io)."""
+    """FIFO of pending ops with a batch-size cap and a depth limit (sans-io)."""
 
-    def __init__(
-        self,
-        *,
-        max_batch: int = 64,
-        deadline_s: float = 0.002,
-        max_depth: int = 1024,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, *, max_batch: int = 64, max_depth: int = 1024):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if deadline_s < 0.0:
-            raise ValueError("deadline_s must be >= 0")
         if max_depth < max_batch:
             raise ValueError("max_depth must be >= max_batch")
         self.max_batch = int(max_batch)
-        self.deadline_s = float(deadline_s)
         self.max_depth = int(max_depth)
-        self.clock = clock
         self.stats = BatchStats()
-        self._pending: collections.deque[tuple[IoOp, float]] = collections.deque()
+        self._pending: collections.deque[IoOp] = collections.deque()
 
     @property
     def depth(self) -> int:
@@ -134,40 +133,24 @@ class BatchQueue:
             raise QueueFull(
                 f"batch queue at capacity ({self.max_depth} pending requests)"
             )
-        self._pending.append((op, self.clock()))
+        self._pending.append(op)
         self.stats.submitted += 1
-
-    def next_deadline(self) -> float | None:
-        """Clock time at which the oldest pending op must flush."""
-        if not self._pending:
-            return None
-        return self._pending[0][1] + self.deadline_s
-
-    def ready(self, now: float | None = None) -> bool:
-        """True when a batch should flush (size filled or deadline hit)."""
-        if not self._pending:
-            return False
-        if len(self._pending) >= self.max_batch:
-            return True
-        if now is None:
-            now = self.clock()
-        return now >= self._pending[0][1] + self.deadline_s
 
     def take(self, *, reason: str = "size") -> list[IoOp]:
         """Pop up to ``max_batch`` ops in FIFO order and record stats.
 
-        ``reason`` labels the flush trigger (``size`` / ``deadline`` /
+        ``reason`` labels the flush trigger (``size`` / ``idle`` /
         ``drain``) in the stats; callers decide *when*, the queue only
         records *what*.
         """
         n = min(len(self._pending), self.max_batch)
-        batch = [self._pending.popleft()[0] for _ in range(n)]
+        batch = [self._pending.popleft() for _ in range(n)]
         if batch:
             self.stats.batch_size_hist[len(batch)] += 1
             if reason == "size":
                 self.stats.flushes_size += 1
-            elif reason == "deadline":
-                self.stats.flushes_deadline += 1
+            elif reason == "idle":
+                self.stats.flushes_idle += 1
             else:
                 self.stats.flushes_drain += 1
         return batch
@@ -332,16 +315,19 @@ def execute_batch(ops: Sequence[IoOp]) -> list[dict]:
 class DynamicBatcher:
     """Event-loop face of the batching queue.
 
-    One background task watches the queue and flushes on readiness
-    (size) or at the oldest op's deadline; batches execute on a single
-    dedicated worker thread, so the event loop never blocks on numpy and
-    *all* engine-state access is serialized.  Control operations that
-    touch device state without being block I/O (create/describe/digest/
-    clock/delete) go through :meth:`run_serialized` on the same thread.
+    At most one batch is in flight.  :meth:`submit` dispatches at once
+    when the engine is idle; otherwise the op waits in the queue, and
+    the in-flight batch's done-callback (on the loop thread) resolves
+    its futures and dispatches whatever queued up meanwhile.  Batches
+    execute on a single dedicated worker thread, so the event loop
+    never blocks on numpy and *all* engine-state access is serialized.
+    Control operations that touch device state without being block
+    I/O (create/describe/digest/clock/delete) go through
+    :meth:`run_serialized` on the same thread.
 
-    ``hold()`` is a test seam: while held, nothing flushes, so tests can
-    deterministically fill the queue (e.g. to exercise backpressure)
-    without racing the flush loop.
+    ``hold()`` is a test seam: while held, nothing dispatches, so tests
+    can deterministically fill the queue (e.g. to exercise
+    backpressure).  ``release()`` may be called from any thread.
     """
 
     def __init__(self, queue: BatchQueue | None = None):
@@ -349,46 +335,47 @@ class DynamicBatcher:
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-engine"
         )
-        self._wake = asyncio.Event()
-        self._task: asyncio.Task | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._inflight: asyncio.Future | None = None
         self._closed = False
         self._held = False
 
     # -- lifecycle -----------------------------------------------------
-    def _ensure_task(self) -> None:
-        if self._task is None or self._task.done():
-            self._task = asyncio.get_running_loop().create_task(self._run())
-
     async def close(self) -> None:
-        """Drain: flush every pending op, then stop the loop and pool."""
+        """Drain: run every pending op (even if held), then stop the pool."""
         self._closed = True
-        self._wake.set()
-        if self._task is not None:
-            await self._task
+        self._held = False
+        self._dispatch()
+        while self._inflight is not None:
+            # Done-callbacks run in registration order, so the batch's
+            # own callback has dispatched the next one before we wake.
+            await asyncio.wait([self._inflight])
         self._pool.shutdown(wait=True)
 
     def hold(self) -> None:
+        """Stop dispatching; submitted ops wait in the queue."""
         self._held = True
 
     def release(self) -> None:
+        """Resume dispatching; safe to call from any thread."""
         self._held = False
-        self._wake.set()
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(self._dispatch)
 
     # -- submission ----------------------------------------------------
     async def submit(self, op: IoOp) -> dict:
         """Enqueue one op and await its result (or its ServiceError)."""
         if self._closed:
             raise ServiceError("E_SHUTTING_DOWN", "server is draining")
-        loop = asyncio.get_running_loop()
-        op.future = loop.create_future()
+        self._loop = asyncio.get_running_loop()
+        op.future = self._loop.create_future()
         try:
             self.queue.submit(op)
         except QueueFull as exc:
             raise ServiceError(
                 "E_QUEUE_FULL", str(exc), {"max_depth": self.queue.max_depth}
             )
-        self._ensure_task()
-        self._wake.set()
+        self._dispatch()
         result = await op.future
         err = result.get("error")
         if err is not None:
@@ -400,41 +387,32 @@ class DynamicBatcher:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._pool, fn)
 
-    # -- flush loop ----------------------------------------------------
-    async def _run(self) -> None:
+    # -- dispatch (loop thread only) -----------------------------------
+    def _dispatch(self) -> None:
+        """Send the next batch to the engine thread if it is free."""
+        if self._inflight is not None or self._held or not self.queue.depth:
+            return
+        if self.queue.depth >= self.queue.max_batch:
+            reason = "size"
+        elif self._closed:
+            reason = "drain"
+        else:
+            reason = "idle"
+        batch = self.queue.take(reason=reason)
         loop = asyncio.get_running_loop()
-        while True:
-            if self._closed and self.queue.depth == 0:
-                return
-            if not self._held and (self.queue.ready() or self._closed):
-                if self.queue.depth >= self.queue.max_batch:
-                    reason = "size"
-                elif self.queue.ready():
-                    reason = "deadline"
-                else:
-                    reason = "drain"
-                batch = self.queue.take(reason=reason)
-                if batch:
-                    await self._execute(loop, batch)
-                continue
-            deadline = self.queue.next_deadline()
-            timeout: float | None = None
-            if deadline is not None and not self._held:
-                timeout = max(0.0, deadline - self.queue.clock())
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
+        self._inflight = loop.run_in_executor(self._pool, execute_batch, batch)
+        self._inflight.add_done_callback(functools.partial(self._complete, batch))
 
-    async def _execute(self, loop: asyncio.AbstractEventLoop, batch: list[IoOp]) -> None:
+    def _complete(self, batch: list[IoOp], done: asyncio.Future) -> None:
+        self._inflight = None
         try:
-            results = await loop.run_in_executor(self._pool, execute_batch, batch)
+            results = done.result()
         except Exception as exc:
             for op in batch:
                 if op.future is not None and not op.future.done():
                     op.future.set_exception(exc)
-            return
-        for op, result in zip(batch, results):
-            if op.future is not None and not op.future.done():
-                op.future.set_result(result)
+        else:
+            for op, result in zip(batch, results):
+                if op.future is not None and not op.future.done():
+                    op.future.set_result(result)
+        self._dispatch()

@@ -26,6 +26,10 @@ __all__ = ["HttpServer", "Router"]
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
 
+#: Telemetry label of every request that matches no route (404/405):
+#: raw paths would give each distinct URL its own latency reservoir.
+UNROUTED = "(unrouted)"
+
 #: Reason phrases for the statuses the code catalog uses.
 _REASONS = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
@@ -52,7 +56,8 @@ class Router:
     def resolve(self, method: str, path: str) -> tuple[str, Handler, dict[str, str]]:
         """Match a request; returns ``(endpoint label, handler, params)``.
 
-        Raises ``E_NOT_FOUND`` for unknown paths and ``E_METHOD`` when
+        A miss resolves to the :data:`UNROUTED` label and a handler that
+        raises ``E_NOT_FOUND`` for unknown paths, or ``E_METHOD`` when
         the path exists but not for this method.
         """
         segments = path.strip("/").split("/")
@@ -65,8 +70,14 @@ class Router:
             if route_method == method.upper():
                 return label, handler, params
         if path_matched:
-            raise ServiceError("E_METHOD", f"{method} not allowed on {path}")
-        raise ServiceError("E_NOT_FOUND", f"no route at {path}")
+            err = ServiceError("E_METHOD", f"{method} not allowed on {path}")
+        else:
+            err = ServiceError("E_NOT_FOUND", f"no route at {path}")
+
+        async def unrouted(params: dict[str, str], body: Any) -> tuple[int, dict]:
+            raise err
+
+        return UNROUTED, unrouted, {}
 
 
 def _match(template: list[str], segments: list[str]) -> dict[str, str] | None:
@@ -145,11 +156,9 @@ class HttpServer:
         keep_alive = _wants_keep_alive(version, headers)
 
         start = self.telemetry.timer()
-        endpoint = f"{method} {target.split('?', 1)[0]}"
+        endpoint, handler, params = self.router.resolve(method, target.split("?", 1)[0])
         try:
             body = await _read_body(reader, headers)
-            path = target.split("?", 1)[0]
-            endpoint, handler, params = self.router.resolve(method, path)
             status, payload = await handler(params, body)
         except ServiceError as exc:
             self.telemetry.observe(endpoint, self.telemetry.elapsed(start), error=True)

@@ -61,7 +61,8 @@ class Telemetry:
     """Thread-safe request counters keyed by endpoint label.
 
     Labels are route *templates* (``POST /v1/devices/{id}/blocks/{block}/read``),
-    not raw paths, so cardinality stays bounded by the route table.
+    not raw paths, plus one fixed label for requests that match no
+    route, so cardinality stays bounded by the route table plus one.
     """
 
     def __init__(self) -> None:

@@ -1,17 +1,21 @@
 """Batching queue and batch-execution semantics.
 
-The load-bearing suite of the service: flush policy under a hand-cranked
-clock (no sleeps), FIFO and backpressure behaviour, and — the contract
-everything else rests on — *bit identity* between batched and sequential
-execution, including the adversarial arrangements (several writes to the
-same block in one batch, reads submitted before and after those writes).
+The load-bearing suite of the service: the queue's size cap, FIFO and
+backpressure behaviour, the dispatch policy (an idle engine takes an op
+at once; ops queued behind a busy engine go out together), and — the
+contract everything else rests on — *bit identity* between batched and
+sequential execution, including the adversarial arrangements (several
+writes to the same block in one batch, reads submitted before and after
+those writes).
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
+from repro.service import batching
 from repro.service.batching import (
     BatchQueue,
     DynamicBatcher,
@@ -19,7 +23,6 @@ from repro.service.batching import (
     QueueFull,
     execute_batch,
 )
-from repro.service.clock import ManualClock
 from repro.service.codes import ServiceError
 from repro.service.device import VirtualDevice
 from repro.service.wire import bits_to_hex
@@ -38,51 +41,31 @@ def _read(device: VirtualDevice, block: int, t: float = 0.0) -> IoOp:
 
 
 # ---------------------------------------------------------------------------
-# BatchQueue policy (sans-io, ManualClock)
+# BatchQueue (sans-io)
 # ---------------------------------------------------------------------------
 
 class TestBatchQueue:
     def test_flush_by_size(self):
-        clock = ManualClock()
-        q = BatchQueue(max_batch=3, deadline_s=10.0, clock=clock)
+        q = BatchQueue(max_batch=3)
         dev = VirtualDevice("d", 0, 4)
-        for i in range(2):
+        for i in range(4):
             q.submit(_read(dev, i))
-        assert not q.ready()  # 2 < max_batch and deadline far away
-        q.submit(_read(dev, 2))
-        assert q.ready()  # size threshold reached, clock never moved
-        batch = q.take(reason="size")
+        batch = q.take(reason="size")  # capped at max_batch
         assert [op.block for op in batch] == [0, 1, 2]
+        assert q.depth == 1
         assert q.stats.flushes_size == 1
         assert q.stats.batch_size_hist[3] == 1
 
-    def test_flush_by_deadline(self):
-        clock = ManualClock()
-        q = BatchQueue(max_batch=64, deadline_s=0.5, clock=clock)
+    def test_partial_take_counts_idle(self):
+        q = BatchQueue(max_batch=64)
         dev = VirtualDevice("d", 0, 4)
         q.submit(_read(dev, 0))
-        assert not q.ready()
-        clock.advance(0.49)
-        assert not q.ready()
-        clock.advance(0.02)  # oldest op is now past its deadline
-        assert q.ready()
-        batch = q.take(reason="deadline")
-        assert len(batch) == 1
-        assert q.stats.flushes_deadline == 1
-
-    def test_deadline_tracks_oldest_op(self):
-        clock = ManualClock()
-        q = BatchQueue(max_batch=64, deadline_s=1.0, clock=clock)
-        dev = VirtualDevice("d", 0, 4)
-        q.submit(_read(dev, 0))
-        clock.advance(0.8)
-        q.submit(_read(dev, 1))  # newer op must not push the deadline out
-        assert q.next_deadline() == pytest.approx(1.0)
-        clock.advance(0.3)
-        assert q.ready()
+        assert len(q.take(reason="idle")) == 1
+        flushes = q.stats.snapshot()["flushes"]
+        assert flushes == {"size": 0, "idle": 1, "deadline": 0, "drain": 0}
 
     def test_fifo_order_across_takes(self):
-        q = BatchQueue(max_batch=2, deadline_s=0.0, clock=ManualClock())
+        q = BatchQueue(max_batch=2)
         dev = VirtualDevice("d", 0, 8)
         for i in range(5):
             q.submit(_read(dev, i))
@@ -91,7 +74,7 @@ class TestBatchQueue:
         assert order == [0, 1, 2, 3, 4]
 
     def test_backpressure(self):
-        q = BatchQueue(max_batch=2, deadline_s=1.0, max_depth=3, clock=ManualClock())
+        q = BatchQueue(max_batch=2, max_depth=3)
         dev = VirtualDevice("d", 0, 8)
         for i in range(3):
             q.submit(_read(dev, i))
@@ -105,8 +88,6 @@ class TestBatchQueue:
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchQueue(max_batch=0)
-        with pytest.raises(ValueError):
-            BatchQueue(deadline_s=-1.0)
         with pytest.raises(ValueError):
             BatchQueue(max_batch=8, max_depth=4)
 
@@ -252,44 +233,107 @@ class TestBitIdentity:
 # DynamicBatcher (asyncio)
 # ---------------------------------------------------------------------------
 
+def _run(scenario):
+    asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
 class TestDynamicBatcher:
     def test_size_flush_coalesces(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=4, deadline_s=60.0))
+            batcher = DynamicBatcher(BatchQueue(max_batch=4))
+            batcher.hold()  # fill the queue before anything dispatches
             try:
-                writes = [batcher.submit(_write(dev, b, seed=b)) for b in range(4)]
-                results = await asyncio.wait_for(asyncio.gather(*writes), timeout=10)
+                writes = [
+                    asyncio.ensure_future(batcher.submit(_write(dev, b, seed=b)))
+                    for b in range(4)
+                ]
+                await asyncio.sleep(0)
+                assert batcher.queue.depth == 4
+                batcher.release()
+                results = await asyncio.gather(*writes)
                 assert [r["code"] for r in results] == ["OK"] * 4
-                # One size-triggered flush of exactly 4 — the 60s deadline
-                # proves it wasn't time that flushed it.
+                # A full queue goes out as one size flush of exactly 4.
                 assert batcher.queue.stats.flushes_size == 1
-                assert batcher.queue.stats.batch_size_hist[4] == 1
+                assert batcher.queue.stats.batch_size_hist == {4: 1}
             finally:
                 await batcher.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
-    def test_deadline_flush(self):
+    def test_idle_dispatch_without_timer(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=64, deadline_s=0.01))
+            before = asyncio.all_tasks()
+            batcher = DynamicBatcher(BatchQueue(max_batch=64))
             try:
-                op = _write(dev, 0, seed=1)
-                result = await asyncio.wait_for(batcher.submit(op), timeout=10)
-                assert result["code"] == "OK"
-                assert batcher.queue.stats.flushes_deadline >= 1
+                pending = asyncio.ensure_future(batcher.submit(_write(dev, 0, seed=1)))
+                await asyncio.sleep(0)
+                # Dispatched on submission: nothing waits in the queue, and
+                # no background task polls it.
+                assert batcher.queue.depth == 0
+                assert asyncio.all_tasks() - before == {pending}
+                assert (await pending)["code"] == "OK"
+                assert batcher.queue.stats.snapshot()["flushes"] == {
+                    "size": 0, "idle": 1, "deadline": 0, "drain": 0,
+                }
             finally:
                 await batcher.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
+
+    def test_ops_queued_behind_busy_engine_go_out_as_one_batch(self, monkeypatch):
+        # Hold the engine thread inside the first batch, queue N more ops,
+        # then let it go: the N ops must leave as a single batch, with the
+        # results and device state of sequential execution.
+        entered, gate = threading.Event(), threading.Event()
+
+        def blocking_execute(ops):
+            entered.set()
+            assert gate.wait(timeout=10)
+            return execute_batch(ops)
+
+        monkeypatch.setattr(batching, "execute_batch", blocking_execute)
+
+        def ops(dev):
+            return [
+                _write(dev, 0, seed=0),
+                _write(dev, 1, seed=1),
+                _read(dev, 0),
+                _write(dev, 0, seed=2),  # rewrite behind a read of block 0
+                _read(dev, 0),
+                _write(dev, 1, seed=3),
+                _read(dev, 1),
+            ]
+
+        async def scenario():
+            dev = VirtualDevice("dev", 5, 8)
+            batcher = DynamicBatcher(BatchQueue(max_batch=64))
+            first, *rest = ops(dev)
+            try:
+                futures = [asyncio.ensure_future(batcher.submit(first))]
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, entered.wait, 10)
+                futures += [asyncio.ensure_future(batcher.submit(op)) for op in rest]
+                await asyncio.sleep(0)
+                assert batcher.queue.depth == len(rest)
+                gate.set()
+                results = await asyncio.gather(*futures)
+            finally:
+                await batcher.close()
+            assert batcher.queue.stats.batch_size_hist == {1: 1, len(rest): 1}
+            assert batcher.queue.stats.flushes_idle == 2
+            return dev, results
+
+        dev, results = asyncio.run(scenario())
+        twin = VirtualDevice("dev", 5, 8)
+        assert results == _run_sequential(twin, ops(twin))
+        assert dev.state_digest() == twin.state_digest()
 
     def test_hold_backpressure_and_release(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(
-                BatchQueue(max_batch=2, deadline_s=0.0, max_depth=2)
-            )
+            batcher = DynamicBatcher(BatchQueue(max_batch=2, max_depth=2))
             batcher.hold()
             try:
                 pending = [
@@ -302,53 +346,73 @@ class TestDynamicBatcher:
                 assert excinfo.value.code == "E_QUEUE_FULL"
                 assert all(not f.done() for f in pending)  # held, not lost
                 batcher.release()
-                results = await asyncio.wait_for(asyncio.gather(*pending), timeout=10)
+                results = await asyncio.gather(*pending)
                 assert [r["code"] for r in results] == ["OK", "OK"]
             finally:
                 await batcher.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
+
+    def test_release_from_another_thread_dispatches(self):
+        async def scenario():
+            dev = VirtualDevice("d", 0, 8)
+            batcher = DynamicBatcher(BatchQueue(max_batch=64))
+            batcher.hold()
+            try:
+                pending = asyncio.ensure_future(batcher.submit(_write(dev, 0, seed=0)))
+                await asyncio.sleep(0)
+                assert batcher.queue.depth == 1
+                releaser = threading.Thread(target=batcher.release)
+                releaser.start()
+                releaser.join()
+                assert (await pending)["code"] == "OK"
+            finally:
+                await batcher.close()
+
+        _run(scenario)
 
     def test_uncorrectable_surfaces_as_service_error(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=1, deadline_s=0.0))
+            batcher = DynamicBatcher(BatchQueue(max_batch=1))
             try:
                 with pytest.raises(ServiceError) as excinfo:
-                    await asyncio.wait_for(batcher.submit(_read(dev, 0)), timeout=10)
+                    await batcher.submit(_read(dev, 0))
                 assert excinfo.value.code == "E_BLOCK_NOT_WRITTEN"
             finally:
                 await batcher.close()
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_close_drains_pending_ops(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=64, deadline_s=120.0))
+            batcher = DynamicBatcher(BatchQueue(max_batch=64))
+            batcher.hold()
             pending = [
                 asyncio.ensure_future(batcher.submit(_write(dev, b, seed=b)))
                 for b in range(3)
             ]
             await asyncio.sleep(0)
-            await batcher.close()  # deadline far away: close must flush
+            await batcher.close()  # held and partial: close must still run them
             results = await asyncio.gather(*pending)
             assert [r["code"] for r in results] == ["OK"] * 3
-            assert batcher.queue.stats.flushes_drain >= 1
+            assert batcher.queue.stats.flushes_drain == 1
+            assert batcher.queue.stats.batch_size_hist == {3: 1}
             with pytest.raises(ServiceError) as excinfo:
                 await batcher.submit(_write(dev, 3, seed=3))
             assert excinfo.value.code == "E_SHUTTING_DOWN"
 
-        asyncio.run(scenario())
+        _run(scenario)
 
     def test_run_serialized(self):
         async def scenario():
             dev = VirtualDevice("d", 0, 8)
-            batcher = DynamicBatcher(BatchQueue(max_batch=1, deadline_s=0.0))
+            batcher = DynamicBatcher(BatchQueue(max_batch=1))
             try:
                 described = await batcher.run_serialized(dev.describe)
                 assert described["n_blocks"] == 8
             finally:
                 await batcher.close()
 
-        asyncio.run(scenario())
+        _run(scenario)

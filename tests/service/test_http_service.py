@@ -29,7 +29,7 @@ def _payload_hex(seed: int, n_bits: int = 512) -> str:
 
 @pytest.fixture(scope="module")
 def server():
-    runner = ServiceRunner(ServiceConfig(port=0, batch_deadline_ms=1.0))
+    runner = ServiceRunner(ServiceConfig(port=0))
     runner.start()
     yield runner
     runner.stop()
@@ -76,6 +76,46 @@ class TestMetaEndpoints:
             assert payload["code"] == "E_BAD_REQUEST"
         finally:
             conn.close()
+
+    def test_metrics_labels_stay_bounded(self, server):
+        # Hostile traffic: distinct 404 paths, bad JSON and oversized
+        # bodies on a templated path.  Each label owns a latency
+        # reservoir, so labels must come from the route table (plus one
+        # for unrouted requests), never from raw paths.
+        import http.client as hc
+
+        from repro.service.http import MAX_BODY_BYTES, UNROUTED
+
+        host, port = server.address
+        conn = hc.HTTPConnection(host, port, timeout=10)
+        try:
+            for i in range(500):
+                conn.request("GET", f"/v1/nope-{i}/x")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 404
+            for i in range(50):
+                conn.request("POST", f"/v1/devices/dev-{i}/blocks/{i}/write",
+                             body=b"{not json",
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 400
+            for i in range(20):  # headers only: the body is refused unread
+                conn.putrequest("POST", f"/v1/devices/big-{i}/blocks/{i}/write")
+                conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+                conn.endheaders()
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 413
+        finally:
+            conn.close()
+        with ServiceClient(server.base_url) as c:
+            endpoints = c.metrics()["http"]["endpoints"]
+        assert len(endpoints) <= len(server.app.server.router._routes) + 1
+        assert endpoints[UNROUTED]["count"] >= 500
+        write = endpoints["POST /v1/devices/{device_id}/blocks/{block}/write"]
+        assert write["errors"] >= 70
 
     def test_metrics_shape(self, client):
         client.healthz()
@@ -270,9 +310,7 @@ class TestJobs:
 
 class TestBackpressure:
     def test_queue_full_503(self):
-        runner = ServiceRunner(
-            ServiceConfig(port=0, batch_max=2, queue_depth=2, batch_deadline_ms=1.0)
-        )
+        runner = ServiceRunner(ServiceConfig(port=0, batch_max=2, queue_depth=2))
         runner.start()
         try:
             with ServiceClient(runner.base_url) as c:
@@ -312,7 +350,7 @@ class TestHttpDifferential:
 
     def test_http_matches_direct_device(self):
         seed, n_blocks = 424242, 8
-        runner = ServiceRunner(ServiceConfig(port=0, batch_deadline_ms=0.5))
+        runner = ServiceRunner(ServiceConfig(port=0))
         runner.start()
         try:
             with ServiceClient(runner.base_url) as c:

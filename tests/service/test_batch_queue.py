@@ -10,6 +10,7 @@ those writes).
 """
 
 import asyncio
+import sys
 import threading
 
 import numpy as np
@@ -404,6 +405,50 @@ class TestDynamicBatcher:
             assert excinfo.value.code == "E_SHUTTING_DOWN"
 
         _run(scenario)
+
+    def test_concurrent_submitters_stress(self):
+        # Many more submitters than cores, with rapid thread switching
+        # between the loop and the engine thread: every op must run
+        # exactly once, in submission order, in batches of at most
+        # max_batch — a lost or doubled dispatch breaks the accounting
+        # or the sequential replay.
+        rng = np.random.default_rng(11)
+        plan = [
+            ("write", int(b), int(s)) if w else ("read", int(b), 0)
+            for w, b, s in zip(
+                rng.random(96) < 0.6, rng.integers(0, 6, 96), rng.integers(0, 1 << 30, 96)
+            )
+        ]
+
+        def ops(dev):
+            first = [_write(dev, b, seed=b) for b in range(6)]  # no unwritten reads
+            return first + [
+                _write(dev, b, seed=s) if kind == "write" else _read(dev, b)
+                for kind, b, s in plan
+            ]
+
+        async def scenario():
+            dev = VirtualDevice("dev", 9, 6)
+            batcher = DynamicBatcher(BatchQueue(max_batch=8, max_depth=256))
+            try:
+                futures = [asyncio.ensure_future(batcher.submit(op)) for op in ops(dev)]
+                results = await asyncio.gather(*futures)
+            finally:
+                await batcher.close()
+            return dev, results, batcher.queue.stats
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            dev, results, stats = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        twin = VirtualDevice("dev", 9, 6)
+        assert results == _run_sequential(twin, ops(twin))
+        assert dev.state_digest() == twin.state_digest()
+        assert max(stats.batch_size_hist) <= 8
+        assert sum(n * c for n, c in stats.batch_size_hist.items()) == stats.submitted
+        assert stats.submitted == len(plan) + 6
 
     def test_run_serialized(self):
         async def scenario():

@@ -29,9 +29,7 @@ machinery to take those requests concurrently:
 - :mod:`repro.service.telemetry` — per-endpoint latency/error counters
   and the batch-size histogram exported on ``/metrics``;
 - :mod:`repro.service.jobs` — background submit/poll execution of
-  campaign and BLER-MC jobs over the existing engines;
-- :mod:`repro.service.loadgen` — the synthetic-client load harness
-  behind ``results/BENCH_service.json``.
+  campaign and BLER-MC jobs over the existing engines.
 
 Start one from the command line with ``python -m repro serve``; see
 ``docs/SERVICE.md`` for the endpoint reference, batching semantics, and

@@ -77,6 +77,34 @@ class TestMetaEndpoints:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            ("Content-Length: abc", 400),
+            ("Content-Length: -1", 400),
+            ("Content-Length: 2000000", 413),
+            ("Transfer-Encoding: chunked", 400),
+            ("Content-Length: 5\r\nTransfer-Encoding: chunked", 400),
+        ],
+    )
+    def test_refused_body_closes_the_connection(self, server, head, status):
+        # The refused body stays unread, so its bytes (here a smuggled
+        # GET) must never be answered as a request of their own.
+        import socket
+
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        raw = f"POST /v1/devices HTTP/1.1\r\nHost: t\r\n{head}\r\n\r\n".encode()
+        received = b""
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(raw + smuggled)
+            while chunk := sock.recv(65536):  # until EOF: the server must close
+                received += chunk
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close\r\n" in received
+        code = "E_PAYLOAD_TOO_LARGE" if status == 413 else "E_BAD_REQUEST"
+        assert code.encode() in received
+
     def test_metrics_labels_stay_bounded(self, server):
         # Hostile traffic: distinct 404 paths, bad JSON and oversized
         # bodies on a templated path.  Each label owns a latency
@@ -318,13 +346,12 @@ class TestBackpressure:
                 runner.app.batcher.hold()  # nothing flushes: queue must fill
                 import threading
 
+                def held_write(b: int) -> None:
+                    with ServiceClient(runner.base_url) as own:
+                        own.write_block(dev["id"], b, _payload_hex(b))
+
                 held = [
-                    threading.Thread(
-                        target=lambda b=b: ServiceClient(runner.base_url).write_block(
-                            dev["id"], b, _payload_hex(b)
-                        ),
-                        daemon=True,
-                    )
+                    threading.Thread(target=held_write, args=(b,), daemon=True)
                     for b in range(2)
                 ]
                 for t in held:
